@@ -16,8 +16,11 @@ to outweigh the initialization show on the partial and random heads.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 from .dataset import EmbeddingDataset, ShotSpec, make_synthetic
-from .headinit import MODE_CNI, MODE_PARTIAL, MODE_RANDOM, TextEmbeddingBank
+from .headinit import MODE_CNI, MODE_PARTIAL, MODE_RANDOM, HeadInitSpec, TextEmbeddingBank
+from .model import LossConfig
 from .train import TrainConfig
 
 BENCH_CLASSES = 10
@@ -68,20 +71,72 @@ def default_lr(init_mode: str) -> float:
     return _MODE_LR.get(init_mode, CNI_LR)
 
 
+@dataclass
+class RunSpec:
+    """One training run as flat settings, defaulting to the benchmark's.
+
+    The ``train`` flags, its config-file keys, sweep entries and the
+    echoed ``config.json`` all have exactly these fields. ``lr=None``
+    means the init mode's default; ``shots`` and ``train_fraction``
+    are exclusive, and both None trains on the whole split.
+    """
+
+    init: str = MODE_CNI
+    fraction: float | None = None
+    init_seed: int = 0
+    shots: int | None = None
+    train_fraction: float | None = None
+    policy: str = "PL"
+    epochs: int = BENCH_EPOCHS
+    batch_size: int = BENCH_BATCH
+    lr: float | None = None
+    warmup_steps: int = 0
+    min_lr: float = 0.0
+    label_smoothing: float = 0.1
+    anchor_lambda: float = 0.0
+    seed: int = 0
+    eval_every: int = 10
+
+    def head_spec(self) -> HeadInitSpec:
+        fraction = self.fraction if self.init == MODE_PARTIAL else None
+        return HeadInitSpec(mode=self.init, fraction=fraction, seed=self.init_seed)
+
+    def train_config(self) -> TrainConfig:
+        shot_spec = None
+        if self.shots is not None or self.train_fraction is not None:
+            shot_spec = ShotSpec(k=self.shots, fraction=self.train_fraction,
+                                 seed=self.seed)
+        return TrainConfig(
+            epochs=self.epochs, batch_size=self.batch_size,
+            base_lr=default_lr(self.init) if self.lr is None else self.lr,
+            warmup_steps=self.warmup_steps, min_lr=self.min_lr,
+            loss=LossConfig(label_smoothing=self.label_smoothing,
+                            anchor_lambda=self.anchor_lambda),
+            policy=self.policy, seed=self.seed, eval_every=self.eval_every,
+            shot_spec=shot_spec,
+        )
+
+
+@dataclass
+class DistillSpec(RunSpec):
+    """A student run: the policy is always ALL, plus the KL term's settings."""
+
+    distill_weight: float = DISTILL_WEIGHT
+    temperature: float = DISTILL_TEMPERATURE
+
+    def train_config(self) -> TrainConfig:
+        cfg = super().train_config()
+        return replace(cfg, policy="ALL", loss=replace(
+            cfg.loss, distill_weight=self.distill_weight,
+            distill_temperature=self.temperature))
+
+
 def default_train_config(init_mode: str, seed: int, shots: int | None = None,
                          **overrides) -> TrainConfig:
     """Benchmark TrainConfig for an init mode, seed, and shot count.
 
-    Keyword overrides replace individual fields (e.g. policy="ALL",
-    loss=LossConfig(anchor_lambda=0.1)).
+    Keyword overrides replace individual TrainConfig fields (e.g.
+    policy="ALL", loss=LossConfig(anchor_lambda=0.1)).
     """
-    kwargs = dict(
-        epochs=BENCH_EPOCHS,
-        batch_size=BENCH_BATCH,
-        base_lr=default_lr(init_mode),
-        seed=seed,
-        eval_every=10,
-        shot_spec=None if shots is None else ShotSpec(k=shots, seed=seed),
-    )
-    kwargs.update(overrides)
-    return TrainConfig(**kwargs)
+    cfg = RunSpec(init=init_mode, seed=seed, shots=shots).train_config()
+    return replace(cfg, **overrides)

@@ -1,9 +1,13 @@
 """Command-line experiment runner.
 
 Subcommands: synth, init-head, sample-shots, train, distill, eval,
-sweep. Every command takes an optional --config JSON file whose keys
-mirror the flag names; explicit flags win, and the fully resolved
-configuration is echoed into the output directory as config.json.
+sweep. Each command's settings are the fields of one spec dataclass
+(``RunSpec`` for train, ``DistillSpec`` for distill, ``ShotSpec`` for
+sample-shots, ...). Every field is a flag and a key of the optional
+--config JSON file; a flag beats a config key, which beats the
+default, and the resolved spec is echoed into the output directory as
+config.json. A sweep entry is ``{"label": ...}`` plus the keys that
+``train --config`` accepts.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error. Outputs are deterministic given flags and seeds;
@@ -16,14 +20,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import benchmark
-from .dataset import EmbeddingDataset, ShotSpec, load_embedding_dataset, make_synthetic, sample_k_shot
+from .benchmark import DistillSpec, RunSpec
+from .dataset import EmbeddingDataset, ShotSpec, make_synthetic, sample_k_shot
 from .distill import distill_train
 from .errors import (
     CniProbeError,
@@ -37,17 +43,47 @@ from .headinit import (
     Head,
     HeadInitSpec,
     MODE_CNI,
-    MODE_PARTIAL,
     MODE_RANDOM,
     TextEmbeddingBank,
     average_text_embeddings,
     init_head,
 )
-from .model import LossConfig, ModelParams, init_params
-from .tensorio import parse_dataset_manifest, read_tensor, write_json, write_tensor
-from .train import SweepEntry, TrainConfig, sweep, train
+from .model import ModelParams, init_params
+from .tensorio import read_dataset, read_tensor, write_json, write_tensor
+from .train import SweepEntry, sweep, train
 
 _PARAM_NAMES = ("A", "a", "q", "W", "b")
+
+
+@dataclass
+class SynthSpec:
+    """Generator settings for ``synth``; defaults are the benchmark's."""
+
+    classes: int = benchmark.BENCH_CLASSES
+    dim: int = benchmark.BENCH_DIM
+    tokens: int = benchmark.BENCH_TOKENS
+    train_per_class: int = benchmark.BENCH_TRAIN_PER_CLASS
+    test_per_class: int = benchmark.BENCH_TEST_PER_CLASS
+    prompts: int = benchmark.BENCH_PROMPTS
+    img_noise: float = benchmark.BENCH_IMG_NOISE
+    txt_noise: float = benchmark.BENCH_TXT_NOISE
+    seed: int = 1
+
+
+@dataclass
+class EvalSpec:
+    """What ``eval`` scores: saved parameters or the zero-shot oracle."""
+
+    params: str | None = None
+    zero_shot: bool = False
+    split: str = "test"
+
+
+def _names(cls, skip=()) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+_RUN_FIELDS = _names(RunSpec)
 
 
 def _timestamp() -> str:
@@ -75,38 +111,67 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill in None-valued flags from --config, then from defaults."""
-    cfg = _load_config_file(getattr(args, "config", None))
-    for key, value in cfg.items():
-        attr = key.replace("-", "_")
-        if attr not in parser_defaults:
-            raise ConfigError(f"unknown config key {key!r}")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    for attr, default in parser_defaults.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, default)
+# --- specs from flags and config files ----------------------------------------
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _build_dataclass(cls, doc: dict, where: str):
-    """Construct `cls` from a JSON dict, rejecting unknown keys cleanly."""
-    known = {f.name for f in fields(cls)}
-    for key in doc:
-        if key not in known:
+def _convert(hint, value, where: str):
+    """A flag string or JSON value as the field type `hint` (X or X | None)."""
+    kinds = get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    try:
+        if kind is not bool or isinstance(value, bool):  # bool("no") is True
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _build_spec(cls, names: tuple[str, ...], doc: dict, where: str,
+                flags: dict | None = None):
+    """`cls` from config keys (``-`` or ``_``), overridden by non-None flags.
+
+    Keys outside `names` and values that do not convert to their
+    field's type raise ConfigError; unset fields keep their defaults.
+    """
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in doc.items():
+        name = key.replace("-", "_")
+        if name not in names:
             raise ConfigError(f"{where}: unknown key {key!r}")
-    return cls(**doc)
+        values[name] = _convert(hints[name], value, f"{where}: {key}")
+    for name, value in (flags or {}).items():
+        if value is not None:
+            values[name] = _convert(hints[name], value, _flag(name))
+    return cls(**values)
 
 
-def _echo_config(out: Path, command: str, args: argparse.Namespace,
-                 keys: list[str]) -> None:
-    doc = {"command": command}
-    for key in keys:
-        doc[key] = getattr(args, key)
+def _resolve(args):
+    """The command's spec from its flags and --config file."""
+    names = args.spec_names
+    return _build_spec(args.spec_cls, names, _load_config_file(args.config),
+                       args.config, {n: getattr(args, n) for n in names})
+
+
+def _echo_config(out: Path, args, spec) -> None:
+    doc = {"command": args.command}
+    doc.update((k, getattr(args, k)) for k in args.paths)
+    doc.update((n, getattr(spec, n)) for n in args.spec_names)
     write_json(out / "config.json", doc)
 
 
 # --- experiment manifest ------------------------------------------------------
+
+def _read_split(doc, base: Path) -> EmbeddingDataset:
+    manifest, tokens, labels = read_dataset(doc, base)
+    return EmbeddingDataset(tokens=tokens, labels=labels,
+                            num_classes=manifest.num_classes)
+
 
 def load_experiment(manifest_path: str | Path):
     """Read an experiment manifest: train/test datasets plus the bank."""
@@ -123,8 +188,8 @@ def load_experiment(manifest_path: str | Path):
             raise ParseError(f"{path}: experiment manifest missing {key!r}")
 
     base = path.parent
-    train_ds = load_embedding_dataset(parse_dataset_manifest(doc["train"], base))
-    test_ds = load_embedding_dataset(parse_dataset_manifest(doc["test"], base))
+    train_ds = _read_split(doc["train"], base)
+    test_ds = _read_split(doc["test"], base)
 
     bank_doc = doc["bank"]
     if not isinstance(bank_doc, dict) or "embeddings" not in bank_doc:
@@ -172,14 +237,6 @@ def _read_params(path: str | Path) -> ModelParams:
     raise DataError(f"{d}: found neither params_*.cnit nor head_W.cnit")
 
 
-def _head_spec(args) -> HeadInitSpec:
-    fraction = getattr(args, "fraction", None)
-    if args.init != MODE_PARTIAL:
-        fraction = None
-    return HeadInitSpec(mode=args.init, fraction=fraction,
-                        seed=getattr(args, "init_seed", 0) or 0)
-
-
 def _write_head(out: Path, head: Head, spec: HeadInitSpec) -> None:
     write_tensor(out / "head_W.cnit", head.W)
     write_tensor(out / "head_b.cnit", head.b)
@@ -194,25 +251,14 @@ def _write_head(out: Path, head: Head, spec: HeadInitSpec) -> None:
 
 # --- subcommands --------------------------------------------------------------
 
-_SYNTH_DEFAULTS = dict(classes=benchmark.BENCH_CLASSES, dim=benchmark.BENCH_DIM,
-                       tokens=benchmark.BENCH_TOKENS,
-                       train_per_class=benchmark.BENCH_TRAIN_PER_CLASS,
-                       test_per_class=benchmark.BENCH_TEST_PER_CLASS,
-                       prompts=benchmark.BENCH_PROMPTS,
-                       img_noise=benchmark.BENCH_IMG_NOISE,
-                       txt_noise=benchmark.BENCH_TXT_NOISE, seed=1)
-
-
 def cmd_synth(args) -> int:
-    _merge_config(args, _SYNTH_DEFAULTS)
+    spec = _resolve(args)
     out = _out_dir(args)
     train_ds, test_ds, bank = make_synthetic(
-        num_classes=int(args.classes), dim=int(args.dim),
-        tokens_per_example=int(args.tokens),
-        train_per_class=int(args.train_per_class),
-        test_per_class=int(args.test_per_class),
-        num_prompts=int(args.prompts), img_noise=float(args.img_noise),
-        txt_noise=float(args.txt_noise), seed=int(args.seed),
+        num_classes=spec.classes, dim=spec.dim, tokens_per_example=spec.tokens,
+        train_per_class=spec.train_per_class,
+        test_per_class=spec.test_per_class, num_prompts=spec.prompts,
+        img_noise=spec.img_noise, txt_noise=spec.txt_noise, seed=spec.seed,
     )
     write_tensor(out / "train_tokens.cnit", train_ds.tokens)
     write_tensor(out / "train_labels.cnit", train_ds.labels)
@@ -240,41 +286,29 @@ def cmd_synth(args) -> int:
             "prompt_templates": bank.prompt_templates,
             "class_names": bank.class_names,
         },
-        "generator": {k: getattr(args, k) for k in sorted(_SYNTH_DEFAULTS)},
+        "generator": asdict(spec),
     })
-    _echo_config(out, "synth", args, sorted(_SYNTH_DEFAULTS))
+    _echo_config(out, args, spec)
     print(f"wrote synthetic dataset to {out}")
     return 0
 
 
-_INIT_HEAD_DEFAULTS = dict(init=MODE_CNI, fraction=None, init_seed=0)
-
-
 def cmd_init_head(args) -> int:
-    _merge_config(args, _INIT_HEAD_DEFAULTS)
+    run = _resolve(args)
+    spec = run.head_spec()
     out = _out_dir(args)
     _, _, bank = load_experiment(args.manifest)
-    spec = _head_spec(args)
-    avg = average_text_embeddings(bank)
-    head = init_head(spec, avg, bank.num_classes, bank.dim)
+    head = init_head(spec, average_text_embeddings(bank), bank.num_classes, bank.dim)
     _write_head(out, head, spec)
-    _echo_config(out, "init-head", args, ["manifest"] + sorted(_INIT_HEAD_DEFAULTS))
+    _echo_config(out, args, run)
     print(f"wrote head ({spec.mode}) to {out}")
     return 0
 
 
-_SAMPLE_DEFAULTS = dict(k=None, fraction=None, seed=0)
-
-
 def cmd_sample_shots(args) -> int:
-    _merge_config(args, _SAMPLE_DEFAULTS)
+    spec = _resolve(args)
     out = _out_dir(args)
     train_ds, _, _ = load_experiment(args.manifest)
-    spec = ShotSpec(
-        k=None if args.k is None else int(args.k),
-        fraction=None if args.fraction is None else float(args.fraction),
-        seed=int(args.seed),
-    )
     indices = sample_k_shot(train_ds, spec)
     write_json(out / "shots.json", {
         "indices": indices,
@@ -283,48 +317,23 @@ def cmd_sample_shots(args) -> int:
         "seed": spec.seed,
         "num_classes": train_ds.num_classes,
     })
-    _echo_config(out, "sample-shots", args, ["manifest"] + sorted(_SAMPLE_DEFAULTS))
+    _echo_config(out, args, spec)
     print(f"wrote {len(indices)} indices to {out / 'shots.json'}")
     return 0
 
 
-_TRAIN_DEFAULTS = dict(
-    init=MODE_CNI, fraction=None, init_seed=0, shots=None, train_fraction=None,
-    policy="PL", epochs=benchmark.BENCH_EPOCHS, batch_size=benchmark.BENCH_BATCH,
-    lr=None, warmup_steps=0, min_lr=0.0, label_smoothing=0.1, anchor_lambda=0.0,
-    seed=0, eval_every=10,
-)
-
-_DISTILL_EXTRA = dict(distill_weight=benchmark.DISTILL_WEIGHT,
-                      temperature=benchmark.DISTILL_TEMPERATURE)
-
-
-def _train_config(args, distill: bool = False) -> TrainConfig:
-    lr = args.lr if args.lr is not None else benchmark.default_lr(args.init)
-    loss = LossConfig(
-        label_smoothing=float(args.label_smoothing),
-        anchor_lambda=float(args.anchor_lambda),
-        distill_weight=float(args.distill_weight) if distill else 0.0,
-        distill_temperature=float(args.temperature) if distill else 1.0,
-    )
-    shot_spec = None
-    if args.shots is not None and args.train_fraction is not None:
-        raise ConfigError("set at most one of --shots / --train-fraction")
-    if args.shots is not None:
-        shot_spec = ShotSpec(k=int(args.shots), seed=int(args.seed))
-    elif args.train_fraction is not None:
-        shot_spec = ShotSpec(fraction=float(args.train_fraction),
-                             seed=int(args.seed))
-    return TrainConfig(
-        epochs=int(args.epochs), batch_size=int(args.batch_size),
-        base_lr=float(lr), warmup_steps=int(args.warmup_steps),
-        min_lr=float(args.min_lr), loss=loss, policy=str(args.policy),
-        seed=int(args.seed), eval_every=int(args.eval_every),
-        shot_spec=shot_spec,
-    )
+def _start_run(args, spec: RunSpec):
+    """Check the spec, load the data and write the initial head."""
+    head_spec, cfg = spec.head_spec(), spec.train_config()
+    out = _out_dir(args)
+    train_ds, test_ds, bank = load_experiment(args.manifest)
+    head = init_head(head_spec, average_text_embeddings(bank),
+                     bank.num_classes, bank.dim)
+    _write_head(out, head, head_spec)
+    return out, cfg, train_ds, test_ds, init_params(head)
 
 
-def _finish_run(out: Path, command: str, args, keys, params, history) -> int:
+def _finish_run(out: Path, args, spec: RunSpec, cfg, params, history) -> int:
     (out / "metrics.csv").write_text(history.to_csv(), encoding="utf-8")
     write_json(out / "metrics.json", history.to_json_dict())
     _write_params(out, params)
@@ -333,115 +342,82 @@ def _finish_run(out: Path, command: str, args, keys, params, history) -> int:
         "final_epoch": history.final.epoch,
         "generated_at": _timestamp(),
     })
-    _echo_config(out, command, args, keys)
+    # echo the resolved default LR, not the None sentinel
+    _echo_config(out, args, replace(spec, lr=cfg.base_lr))
     print(f"final_top1={history.final.test_top1!r}")
     return 0
 
 
 def cmd_train(args) -> int:
-    _merge_config(args, _TRAIN_DEFAULTS)
-    out = _out_dir(args)
-    train_ds, test_ds, bank = load_experiment(args.manifest)
-    spec = _head_spec(args)
-    avg = average_text_embeddings(bank)
-    head = init_head(spec, avg, bank.num_classes, bank.dim)
-    _write_head(out, head, spec)
-    cfg = _train_config(args)
-    args.lr = cfg.base_lr  # echo the resolved default, not the sentinel
-    params, history = train(init_params(head), train_ds, test_ds, cfg)
-    keys = ["manifest"] + sorted(_TRAIN_DEFAULTS)
-    return _finish_run(out, "train", args, keys, params, history)
+    spec = _resolve(args)
+    out, cfg, train_ds, test_ds, params0 = _start_run(args, spec)
+    params, history = train(params0, train_ds, test_ds, cfg)
+    return _finish_run(out, args, spec, cfg, params, history)
 
 
 def cmd_distill(args) -> int:
-    _merge_config(args, {**_TRAIN_DEFAULTS, **_DISTILL_EXTRA, "policy": "ALL"})
-    out = _out_dir(args)
-    train_ds, test_ds, bank = load_experiment(args.manifest)
+    spec = _resolve(args)
     teacher = _read_params(args.teacher)
-    spec = _head_spec(args)
-    avg = average_text_embeddings(bank)
-    head = init_head(spec, avg, bank.num_classes, bank.dim)
-    _write_head(out, head, spec)
-    cfg = _train_config(args, distill=True)
-    args.lr = cfg.base_lr  # echo the resolved default, not the sentinel
+    out, cfg, train_ds, test_ds, params0 = _start_run(args, spec)
     unlabeled = train_ds if cfg.loss.distill_weight > 0 else None
-    params, history = distill_train(teacher, init_params(head), train_ds,
-                                    unlabeled, test_ds, cfg)
-    keys = ["manifest", "teacher"] + sorted({**_TRAIN_DEFAULTS, **_DISTILL_EXTRA})
-    return _finish_run(out, "distill", args, keys, params, history)
-
-
-_EVAL_DEFAULTS = dict(params=None, zero_shot=False, split="test")
+    params, history = distill_train(teacher, params0, train_ds, unlabeled,
+                                    test_ds, cfg)
+    return _finish_run(out, args, spec, cfg, params, history)
 
 
 def cmd_eval(args) -> int:
-    _merge_config(args, _EVAL_DEFAULTS)
+    spec = _resolve(args)
+    if spec.split not in ("train", "test"):
+        raise ConfigError(f"unknown split {spec.split!r}")
+    if spec.zero_shot == (spec.params is not None):
+        raise ConfigError("choose exactly one of --zero-shot / --params")
     out = _out_dir(args)
     train_ds, test_ds, bank = load_experiment(args.manifest)
-    if args.split not in ("train", "test"):
-        raise ConfigError(f"unknown split {args.split!r}")
-    ds = test_ds if args.split == "test" else train_ds
-    if bool(args.zero_shot) == (args.params is not None):
-        raise ConfigError("choose exactly one of --zero-shot / --params")
-    if args.zero_shot:
+    ds = test_ds if spec.split == "test" else train_ds
+    if spec.zero_shot:
         report = zero_shot(bank, ds)
     else:
-        report = top1(_read_params(args.params), ds)
+        report = top1(_read_params(spec.params), ds)
     write_json(out / "eval.json", {
         "generated_at": _timestamp(),
         "report": report.to_json_dict(),
     })
-    _echo_config(out, "eval", args, ["manifest"] + sorted(_EVAL_DEFAULTS))
+    _echo_config(out, args, spec)
     print(f"top1={report.top1!r}")
     return 0
 
 
-def _default_sweep_entries(seed: int) -> list[dict]:
+def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
+    """Entries from the --config file, else shots {1,5} x init {cni,random}.
+
+    An entry's ``init_seed`` and ``seed`` default to the sweep's --seed.
+    """
+    doc = _load_config_file(path)
+    for key in doc:
+        if key != "entries":
+            raise ConfigError(f"{path}: unknown key {key!r}")
+    docs = doc.get("entries") or [
+        {"label": f"{mode}_{shots}shot", "init": mode, "shots": shots}
+        for shots in (1, 5) for mode in (MODE_CNI, MODE_RANDOM)
+    ]
+    if not isinstance(docs, list):
+        raise ConfigError(f"{path}: 'entries' must be a list")
     entries = []
-    for shots in (1, 5):
-        for mode in (MODE_CNI, MODE_RANDOM):
-            entries.append({
-                "label": f"{mode}_{shots}shot",
-                "init": {"mode": mode, "seed": seed},
-                "train": {"shots": shots, "seed": seed},
-            })
+    for i, e in enumerate(docs):
+        if not isinstance(e, dict) or "label" not in e:
+            raise ConfigError(f"sweep entry {i} must be an object with a 'label'")
+        doc = {"init_seed": seed, "seed": seed, **e}
+        label = str(doc.pop("label"))
+        spec = _build_spec(RunSpec, _RUN_FIELDS, doc, f"sweep entry {i}")
+        entries.append(SweepEntry(label=label, init=spec.head_spec(),
+                                  cfg=spec.train_config()))
     return entries
 
 
 def cmd_sweep(args) -> int:
-    if args.seed is None:
-        args.seed = 0
+    entries = _sweep_entries(args.config, args.seed)
     out = _out_dir(args)
     train_ds, test_ds, bank = load_experiment(args.manifest)
-    doc = _load_config_file(args.config) if args.config else {}
-    entry_docs = doc.get("entries") or _default_sweep_entries(int(args.seed))
-
-    entries = []
-    for i, e in enumerate(entry_docs):
-        if "label" not in e:
-            raise ConfigError(f"sweep entry {i} missing 'label'")
-        init_doc = dict(e.get("init", {}))
-        for key in init_doc:
-            if key not in ("mode", "fraction", "seed"):
-                raise ConfigError(f"sweep entry {i} init: unknown key {key!r}")
-        spec = HeadInitSpec(mode=init_doc.get("mode", MODE_CNI),
-                            fraction=init_doc.get("fraction"),
-                            seed=int(init_doc.get("seed", args.seed)))
-        t = dict(e.get("train", {}))
-        shots = t.pop("shots", None)
-        t.setdefault("seed", int(args.seed))
-        t.setdefault("base_lr", benchmark.default_lr(spec.mode))
-        t.setdefault("epochs", benchmark.BENCH_EPOCHS)
-        t.setdefault("batch_size", benchmark.BENCH_BATCH)
-        if shots is not None:
-            t["shot_spec"] = ShotSpec(k=int(shots), seed=int(t["seed"]))
-        if "loss" in t:
-            t["loss"] = _build_dataclass(LossConfig, t["loss"],
-                                         f"sweep entry {i} loss")
-        entries.append(SweepEntry(
-            label=str(e["label"]), init=spec,
-            cfg=_build_dataclass(TrainConfig, t, f"sweep entry {i} train")))
-
     rows = sweep(bank, train_ds, test_ds, entries)
     lines = ["label,final_top1,error"]
     for r in rows:
@@ -461,94 +437,53 @@ def cmd_sweep(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
+_PATH_HELP = {
+    "manifest": "experiment manifest.json",
+    "teacher": "directory with the teacher's params_*.cnit",
+}
+
+# command, help, handler, spec class, spec fields exposed, required paths
+_COMMANDS = (
+    ("synth", "generate a synthetic embedding dataset", cmd_synth,
+     SynthSpec, _names(SynthSpec), ()),
+    ("init-head", "build a head from the text bank", cmd_init_head,
+     RunSpec, ("init", "fraction", "init_seed"), ("manifest",)),
+    ("sample-shots", "sample a k-shot index subset", cmd_sample_shots,
+     ShotSpec, _names(ShotSpec), ("manifest",)),
+    ("train", "fine-tune from an initialized head", cmd_train,
+     RunSpec, _RUN_FIELDS, ("manifest",)),
+    ("distill", "train an ALL-policy student against a teacher", cmd_distill,
+     DistillSpec, _names(DistillSpec, skip=("policy",)),
+     ("manifest", "teacher")),
+    ("eval", "evaluate a model or the zero-shot oracle", cmd_eval,
+     EvalSpec, _names(EvalSpec), ("manifest",)),
+    ("sweep", "run a list of training configurations", cmd_sweep,
+     None, (), ("manifest",)),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cniprobe",
         description="Few-shot adaptation experiments on frozen embeddings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, text, func, cls, names, paths in _COMMANDS:
+        p = sub.add_parser(command, help=text)
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--config", help="JSON config file (flags override)")
-
-    p = sub.add_parser("synth", help="generate a synthetic embedding dataset")
-    add_common(p)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--tokens", type=int)
-    p.add_argument("--train-per-class", type=int)
-    p.add_argument("--test-per-class", type=int)
-    p.add_argument("--prompts", type=int)
-    p.add_argument("--img-noise", type=float)
-    p.add_argument("--txt-noise", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
-
-    def add_init_flags(p):
-        p.add_argument("--init", choices=[MODE_CNI, MODE_RANDOM, MODE_PARTIAL])
-        p.add_argument("--fraction", type=float,
-                       help="text-row fraction for partial init")
-        p.add_argument("--init-seed", type=int)
-
-    p = sub.add_parser("init-head", help="build a head from the text bank")
-    add_common(p)
-    p.add_argument("--manifest", required=True)
-    add_init_flags(p)
-    p.set_defaults(func=cmd_init_head)
-
-    p = sub.add_parser("sample-shots", help="sample a k-shot index subset")
-    add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_sample_shots)
-
-    def add_train_flags(p):
-        p.add_argument("--manifest", required=True)
-        add_init_flags(p)
-        p.add_argument("--shots", type=int)
-        p.add_argument("--train-fraction", type=float)
-        p.add_argument("--policy", choices=["L", "PL", "ALL"])
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--warmup-steps", type=int)
-        p.add_argument("--min-lr", type=float)
-        p.add_argument("--label-smoothing", type=float)
-        p.add_argument("--anchor-lambda", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--eval-every", type=int)
-
-    p = sub.add_parser("train", help="fine-tune from an initialized head")
-    add_common(p)
-    add_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("distill", help="train a student against a teacher")
-    add_common(p)
-    add_train_flags(p)
-    p.add_argument("--teacher", required=True,
-                   help="directory with the teacher's params_*.cnit")
-    p.add_argument("--distill-weight", type=float)
-    p.add_argument("--temperature", type=float)
-    p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("eval", help="evaluate a model or the zero-shot oracle")
-    add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--params", help="directory with params or head tensors")
-    p.add_argument("--zero-shot", action="store_true", default=None)
-    p.add_argument("--split", choices=["train", "test"])
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="run a list of training configurations")
-    add_common(p)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_sweep)
-
+        for name in paths:
+            p.add_argument(_flag(name), required=True, help=_PATH_HELP[name])
+        hints = get_type_hints(cls) if cls else {}
+        for name in names:
+            if hints[name] is bool:
+                p.add_argument(_flag(name), action="store_true", default=None)
+            else:
+                p.add_argument(_flag(name))
+        p.set_defaults(func=func, spec_cls=cls, spec_names=names, paths=paths)
+    sweep_parser = sub.choices["sweep"]
+    sweep_parser.add_argument("--seed", type=int, default=0,
+                              help="default init_seed and seed of every entry")
     return parser
 
 

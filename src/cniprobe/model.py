@@ -19,7 +19,7 @@ form, with frozen parameter groups receiving no gradient entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

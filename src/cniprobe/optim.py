@@ -55,7 +55,6 @@ class AdafactorConfig:
     beta2: float = 0.999
     weight_decay: float = 0.01
     eps1: float = 1e-30
-    eps2: float = 1e-3  # reserved for relative step sizing (disabled)
     clip_threshold: float = 1.0
 
 
@@ -141,16 +140,3 @@ def adafactor_step(
             p *= 1.0 - lr * cfg.weight_decay
         p -= lr * m
 
-
-def sgd_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    lr: float,
-) -> None:
-    """Plain gradient descent; handy as a test fallback."""
-    for name, grad in grads.items():
-        if name not in params:
-            raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
-        if grad.shape != params[name].shape:
-            raise ShapeMismatch("gradient/parameter shape mismatch")
-        params[name] -= lr * grad

@@ -113,8 +113,12 @@ class DatasetManifest:
 _REQUIRED_FIELDS = ("name", "tokens", "labels", "num_classes", "dim", "tokens_per_example")
 
 
-def parse_dataset_manifest(doc: dict, base_dir: Path) -> DatasetManifest:
-    """Validate a manifest dictionary; reads both tensors to cross-check."""
+def read_dataset(doc: dict, base_dir: Path) -> tuple[DatasetManifest, np.ndarray, np.ndarray]:
+    """Validate a manifest dictionary against its tensors.
+
+    Returns the manifest with the token and label tensors it was
+    checked against, so callers need not read them a second time.
+    """
     if not isinstance(doc, dict):
         raise ParseError("dataset manifest must be a JSON object")
     for key in _REQUIRED_FIELDS:
@@ -156,7 +160,7 @@ def parse_dataset_manifest(doc: dict, base_dir: Path) -> DatasetManifest:
     if class_names and len(class_names) != num_classes:
         raise ParseError("class_names must be empty or have num_classes entries")
 
-    return DatasetManifest(
+    manifest = DatasetManifest(
         name=str(doc["name"]),
         tokens_path=tokens_path,
         labels_path=labels_path,
@@ -166,6 +170,12 @@ def parse_dataset_manifest(doc: dict, base_dir: Path) -> DatasetManifest:
         num_examples=m,
         class_names=class_names,
     )
+    return manifest, tokens, labels
+
+
+def parse_dataset_manifest(doc: dict, base_dir: Path) -> DatasetManifest:
+    """Validate a manifest dictionary; reads both tensors to cross-check."""
+    return read_dataset(doc, base_dir)[0]
 
 
 def load_manifest(path: str | Path) -> DatasetManifest:

@@ -10,9 +10,7 @@ turning distillation on or off never perturbs labeled batch order.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,23 +237,11 @@ def _sweep_one(bank: TextEmbeddingBank, train_ds: EmbeddingDataset,
 def sweep(bank: TextEmbeddingBank, train_ds: EmbeddingDataset,
           test_ds: EmbeddingDataset,
           entries: list[SweepEntry]) -> list[SweepRow]:
-    """Run each entry independently; row order follows the input order.
+    """Run each entry in input order; a failed entry becomes an error row.
 
-    Entries run on a small thread pool; CNI_PROBE_THREADS caps the
-    worker count (runs share no mutable state, so results do not
-    depend on scheduling).
+    Entries run serially: each run is Python-bound and holds the
+    interpreter lock, so a thread pool would gain nothing.
     """
     if not entries:
         raise ConfigError("sweep needs at least one entry")
-    cap = os.environ.get("CNI_PROBE_THREADS", "")
-    try:
-        workers = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError as exc:
-        raise ConfigError(f"CNI_PROBE_THREADS must be an integer: {cap!r}") from exc
-    workers = max(1, min(workers, len(entries)))
-    if workers == 1:
-        return [_sweep_one(bank, train_ds, test_ds, e) for e in entries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_one, bank, train_ds, test_ds, e)
-                   for e in entries]
-        return [f.result() for f in futures]
+    return [_sweep_one(bank, train_ds, test_ds, e) for e in entries]

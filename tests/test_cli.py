@@ -3,11 +3,15 @@
 import json
 import shutil
 import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from cniprobe.cli import main
+from cniprobe import tensorio
+from cniprobe.benchmark import RunSpec
+from cniprobe.cli import build_parser, load_experiment, main
 from cniprobe.tensorio import read_tensor, write_json
 
 SMALL_SYNTH = [
@@ -191,6 +195,7 @@ def test_distill_end_to_end(data_dir, tmp_path):
     doc = json.loads((student / "config.json").read_text())
     assert doc["command"] == "distill"
     assert doc["distill_weight"] == 1.0
+    assert "policy" not in doc  # the student always trains ALL
     csv = (student / "metrics.csv").read_text().splitlines()
     distill_col = csv[0].split(",").index("loss_distill")
     assert any(float(line.split(",")[distill_col]) > 0 for line in csv[1:])
@@ -227,14 +232,12 @@ def test_oversized_shot_request_is_data_error(data_dir, tmp_path):
     assert code == 3
 
 
-def test_sweep_default_grid(data_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CNI_PROBE_THREADS", "2")
+def test_sweep_default_grid(data_dir, tmp_path, capsys):
     out = tmp_path / "sweep"
     cfg = tmp_path / "sweep.json"
     write_json(cfg, {"entries": [
-        {"label": f"{mode}_{k}shot", "init": {"mode": mode},
-         "train": {"shots": k, "epochs": 4, "batch_size": 4,
-                   "eval_every": 2}}
+        {"label": f"{mode}_{k}shot", "init": mode, "shots": k, "epochs": 4,
+         "batch_size": 4, "eval_every": 2}
         for k in (1, 2) for mode in ("cni", "random")
     ]})
     assert main(["sweep", "--manifest", str(data_dir / "manifest.json"),
@@ -251,9 +254,12 @@ def test_sweep_default_grid(data_dir, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("entry", [
-    {"label": "x", "train": {"lr": 0.005}},          # should be base_lr
-    {"label": "x", "train": {"loss": {"lam": 1.0}}},  # should be anchor_lambda
-    {"label": "x", "init": {"kind": "cni"}},          # should be mode
+    {"label": "x", "base_lr": 0.005},                 # should be lr
+    {"label": "x", "loss": {"anchor_lambda": 1.0}},   # should be flat
+    {"label": "x", "mode": "cni"},                    # should be init
+    {"label": "x", "train": {"epochs": 4}},           # nested schema
+    {"label": "x", "optimizer": {"beta1": 0.5}},      # not a run setting
+    {"label": "x", "shot_spec": {"k": 1}},            # should be shots
 ])
 def test_sweep_unknown_entry_key_is_config_error(data_dir, tmp_path, capsys, entry):
     cfg = tmp_path / "sweep.json"
@@ -264,11 +270,83 @@ def test_sweep_unknown_entry_key_is_config_error(data_dir, tmp_path, capsys, ent
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_sweep_bad_thread_env(data_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("CNI_PROBE_THREADS", "lots")
+def test_sweep_config_takes_only_entries(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, {"entries": [{"label": "x", "epochs": 1}], "seed": 3})
     code = main(["sweep", "--manifest", str(data_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(tmp_path / "s")])
+    assert code == 2
+    assert "unknown key 'seed'" in capsys.readouterr().err
+
+
+def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
+    manifest = str(data_dir / "manifest.json")
+    bad = tmp_path / "bad.json"
+    write_json(bad, {"epochs": "abc"})
+    assert main(["train", "--manifest", manifest, "--config", str(bad),
+                 "--out", str(tmp_path / "t1")]) == 2
+    assert main(["train", "--manifest", manifest, "--epochs", "abc",
+                 "--out", str(tmp_path / "t2")]) == 2
+    write_json(bad, {"entries": [{"label": "x", "epochs": "abc"}]})
+    assert main(["sweep", "--manifest", manifest, "--config", str(bad),
+                 "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.count("expected int, got 'abc'") == 3
+
+
+def test_run_spec_fields_on_every_surface(data_dir, tmp_path):
+    """Every RunSpec field is a train flag, config key, sweep key and echo key."""
+    names = [f.name for f in fields(RunSpec)]
+    parser = build_parser()
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        args = parser.parse_args(["train", "--manifest", "m", "--out", "o",
+                                  flag, "7"])
+        assert getattr(args, name) == "7", flag
+
+    defaults = {f.name: f.default for f in fields(RunSpec)}
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, defaults)
+    out = tmp_path / "run"
+    assert main(["train", "--manifest", str(data_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(out)] + FAST_TRAIN) == 0
+    echo = json.loads((out / "config.json").read_text())
+    assert set(names) | {"command", "manifest"} == set(echo)
+
+    write_json(cfg, {"entries": [{**defaults, "label": "all", "epochs": 2}]})
+    assert main(["sweep", "--manifest", str(data_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1]
+    assert row.startswith("all,") and row.endswith(",")  # no error
+
+
+def test_distill_has_no_policy(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"policy": "L"})
+    code = main(["distill", "--manifest", str(data_dir / "manifest.json"),
+                 "--teacher", str(tmp_path), "--config", str(cfg),
                  "--out", str(tmp_path / "s")])
     assert code == 2
+    assert "unknown key 'policy'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["distill", "--manifest", "m", "--teacher", "t", "--out", "o",
+              "--policy", "L"])
+
+
+def test_load_experiment_reads_each_tensor_once(data_dir, monkeypatch):
+    real = tensorio.read_tensor
+    reads = []
+
+    def counting(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return real(path, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("cniprobe") and \
+                getattr(module, "read_tensor", None) is real:
+            monkeypatch.setattr(module, "read_tensor", counting)
+    load_experiment(data_dir / "manifest.json")
+    assert sorted(reads) == ["bank.cnit", "test_labels.cnit", "test_tokens.cnit",
+                             "train_labels.cnit", "train_tokens.cnit"]
 
 
 def test_console_script_installed():

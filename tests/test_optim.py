@@ -13,7 +13,6 @@ from cniprobe.optim import (
     ScheduleConfig,
     adafactor_step,
     cosine_lr,
-    sgd_step,
 )
 
 
@@ -153,12 +152,6 @@ def test_gradient_shape_and_name_mismatches():
         adafactor_step(state, {"v": np.zeros(3)}, {"v": np.ones(4)}, lr=0.1)
     with pytest.raises(ShapeMismatch):
         adafactor_step(state, {"v": np.zeros(3)}, {"w": np.ones(3)}, lr=0.1)
-
-
-def test_sgd_step_reference():
-    params = {"v": np.array([1.0, 2.0])}
-    sgd_step(params, {"v": np.array([0.5, -0.5])}, lr=0.1)
-    np.testing.assert_allclose(params["v"], [0.95, 2.05], atol=1e-15)
 
 
 # --- schedule -----------------------------------------------------------------

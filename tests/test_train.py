@@ -154,8 +154,7 @@ def test_sweep_matches_direct_training(tiny_problem, tiny_cni_params):
     assert rows[0].error is None
 
 
-def test_sweep_identical_entries_identical_rows(tiny_problem, monkeypatch):
-    monkeypatch.setenv("CNI_PROBE_THREADS", "2")
+def test_sweep_identical_entries_identical_rows(tiny_problem):
     train_ds, test_ds, bank = tiny_problem
     rows = sweep(bank, train_ds, test_ds, _entries(4))
     assert len({r.final_top1 for r in rows}) == 1
@@ -175,19 +174,7 @@ def test_sweep_order_and_error_capture(tiny_problem):
     assert rows[0].error is None and rows[2].error is None
 
 
-def test_sweep_thread_cap_does_not_change_results(tiny_problem, monkeypatch):
-    train_ds, test_ds, bank = tiny_problem
-    monkeypatch.setenv("CNI_PROBE_THREADS", "1")
-    serial = sweep(bank, train_ds, test_ds, _entries(3))
-    monkeypatch.setenv("CNI_PROBE_THREADS", "3")
-    threaded = sweep(bank, train_ds, test_ds, _entries(3))
-    assert [r.final_top1 for r in serial] == [r.final_top1 for r in threaded]
-
-
-def test_sweep_rejects_empty_and_bad_thread_env(tiny_problem, monkeypatch):
+def test_sweep_rejects_empty_entries(tiny_problem):
     train_ds, test_ds, bank = tiny_problem
     with pytest.raises(ConfigError):
         sweep(bank, train_ds, test_ds, [])
-    monkeypatch.setenv("CNI_PROBE_THREADS", "many")
-    with pytest.raises(ConfigError):
-        sweep(bank, train_ds, test_ds, _entries(1))
