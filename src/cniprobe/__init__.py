@@ -1,7 +1,7 @@
 """Few-shot adaptation of frozen embedding models with text-initialized heads."""
 
 from .benchmark import BENCHMARK_SEEDS, default_lr, make_benchmark
-from .dataset import EmbeddingDataset, ShotSpec, load_embedding_dataset, make_synthetic, sample_k_shot
+from .dataset import EmbeddingDataset, ShotSpec, make_synthetic, sample_k_shot
 from .distill import distill_train, teacher_predict
 from .errors import CniProbeError, ConfigError, DataError, NumericalError
 from .evaluate import EvalReport, top1, zero_shot
@@ -18,7 +18,7 @@ from .headinit import (
 from .model import LossConfig, ModelParams, backward, forward, init_params, loss_total
 from .optim import AdafactorConfig, AdafactorState, ScheduleConfig, adafactor_step, cosine_lr
 from .rng import Stream, substream_seed
-from .tensorio import DatasetManifest, load_manifest, read_tensor, write_tensor
+from .tensorio import read_tensor, write_tensor
 from .train import MetricHistory, SweepEntry, SweepRow, TrainConfig, sweep, train
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "CniProbeError",
     "ConfigError",
     "DataError",
-    "DatasetManifest",
     "EmbeddingDataset",
     "EvalReport",
     "Head",
@@ -58,8 +57,6 @@ __all__ = [
     "forward",
     "init_head",
     "init_params",
-    "load_embedding_dataset",
-    "load_manifest",
     "loss_total",
     "make_benchmark",
     "make_synthetic",

@@ -35,8 +35,10 @@ from .errors import (
     CniProbeError,
     ConfigError,
     DataError,
+    LabelOutOfRange,
     NumericalError,
     ParseError,
+    ShapeMismatch,
 )
 from .evaluate import top1, zero_shot
 from .headinit import (
@@ -49,7 +51,7 @@ from .headinit import (
     init_head,
 )
 from .model import ModelParams, init_params
-from .tensorio import read_dataset, read_tensor, write_json, write_tensor
+from .tensorio import read_tensor, write_json, write_tensor
 from .train import SweepEntry, sweep, train
 
 _PARAM_NAMES = ("A", "a", "q", "W", "b")
@@ -96,19 +98,24 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+def _read_json(path: str | Path, error: type[CniProbeError]) -> dict:
+    """The JSON object in `path`; any failure to read one raises `error`."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        raise error(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise error(f"{path}: must be a JSON object")
     return doc
+
+
+def _whole(value) -> int | None:
+    """`value` if it is a whole JSON number (3 or 3.0, not true), else None."""
+    whole = type(value) is int or type(value) is float and value.is_integer()
+    return int(value) if whole else None
 
 
 # --- specs from flags and config files ----------------------------------------
@@ -118,16 +125,23 @@ def _flag(name: str) -> str:
 
 
 def _convert(hint, value, where: str):
-    """A flag string or JSON value as the field type `hint` (X or X | None)."""
+    """A flag string or JSON value as the field type `hint` (X or X | None).
+
+    Only a bool field takes a boolean, and an int field takes a whole
+    number or a string of one; anything else raises ConfigError.
+    """
     kinds = get_args(hint) or (hint,)
     if value is None and type(None) in kinds:
         return None
     kind = kinds[0]
-    try:
-        if kind is not bool or isinstance(value, bool):  # bool("no") is True
-            return kind(value)
-    except (TypeError, ValueError):
-        pass
+    if isinstance(value, bool) == (kind is bool):
+        arg = value
+        if kind is int and not isinstance(value, str):
+            arg = _whole(value)
+        try:
+            return kind(arg)
+        except (TypeError, ValueError):
+            pass
     raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
@@ -154,8 +168,9 @@ def _build_spec(cls, names: tuple[str, ...], doc: dict, where: str,
 def _resolve(args):
     """The command's spec from its flags and --config file."""
     names = args.spec_names
-    return _build_spec(args.spec_cls, names, _load_config_file(args.config),
-                       args.config, {n: getattr(args, n) for n in names})
+    doc = _read_json(args.config, ConfigError) if args.config else {}
+    return _build_spec(args.spec_cls, names, doc, args.config,
+                       {n: getattr(args, n) for n in names})
 
 
 def _echo_config(out: Path, args, spec) -> None:
@@ -165,91 +180,7 @@ def _echo_config(out: Path, args, spec) -> None:
     write_json(out / "config.json", doc)
 
 
-# --- experiment manifest ------------------------------------------------------
-
-def _read_split(doc, base: Path) -> EmbeddingDataset:
-    manifest, tokens, labels = read_dataset(doc, base)
-    return EmbeddingDataset(tokens=tokens, labels=labels,
-                            num_classes=manifest.num_classes)
-
-
-def load_experiment(manifest_path: str | Path):
-    """Read an experiment manifest: train/test datasets plus the bank."""
-    path = Path(manifest_path)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    for key in ("train", "test", "bank"):
-        if key not in doc:
-            raise ParseError(f"{path}: experiment manifest missing {key!r}")
-
-    base = path.parent
-    train_ds = _read_split(doc["train"], base)
-    test_ds = _read_split(doc["test"], base)
-
-    bank_doc = doc["bank"]
-    if not isinstance(bank_doc, dict) or "embeddings" not in bank_doc:
-        raise ParseError(f"{path}: bank section needs an 'embeddings' path")
-    emb = read_tensor(base / str(bank_doc["embeddings"]))
-    if emb.ndim != 3:
-        raise ParseError(f"{path}: bank tensor must have shape (N, C, D)")
-    bank = TextEmbeddingBank(
-        embeddings=emb.astype(np.float64),
-        prompt_templates=[str(s) for s in bank_doc.get("prompt_templates", [])],
-        class_names=[str(s) for s in bank_doc.get("class_names", [])],
-    )
-    if bank.num_classes != train_ds.num_classes:
-        raise ParseError(f"{path}: bank and train split disagree on C")
-    return train_ds, test_ds, bank
-
-
-def _write_params(out: Path, params: ModelParams) -> None:
-    for name in _PARAM_NAMES:
-        write_tensor(out / f"params_{name}.cnit", params.group(name))
-    write_json(out / "model.json", {
-        "dim": params.dim,
-        "num_classes": params.num_classes,
-        "logit_scale": params.logit_scale,
-    })
-
-
-def _read_params(path: str | Path) -> ModelParams:
-    """Load model params from a train output dir, or lift a saved head."""
-    d = Path(path)
-    if (d / "params_W.cnit").exists():
-        arrays = {n: read_tensor(d / f"params_{n}.cnit").astype(np.float64)
-                  for n in _PARAM_NAMES}
-        scale = 10.0
-        model_doc = d / "model.json"
-        if model_doc.exists():
-            with open(model_doc, "r", encoding="utf-8") as f:
-                scale = float(json.load(f).get("logit_scale", 10.0))
-        return ModelParams(logit_scale=scale, **arrays)
-    if (d / "head_W.cnit").exists():
-        W = read_tensor(d / "head_W.cnit").astype(np.float64)
-        b = read_tensor(d / "head_b.cnit").astype(np.float64)
-        head = Head(W=W, b=b, init_provenance=[])
-        return init_params(head)
-    raise DataError(f"{d}: found neither params_*.cnit nor head_W.cnit")
-
-
-def _write_head(out: Path, head: Head, spec: HeadInitSpec) -> None:
-    write_tensor(out / "head_W.cnit", head.W)
-    write_tensor(out / "head_b.cnit", head.b)
-    write_json(out / "head.json", {
-        "mode": spec.mode,
-        "fraction": spec.fraction,
-        "seed": spec.seed,
-        "num_text_rows": sum(1 for p in head.init_provenance if p == "text"),
-        "provenance": head.init_provenance,
-    })
-
-
-# --- subcommands --------------------------------------------------------------
+# --- experiment manifest: cmd_synth writes it, load_experiment reads it ------
 
 def cmd_synth(args) -> int:
     spec = _resolve(args)
@@ -292,6 +223,123 @@ def cmd_synth(args) -> int:
     print(f"wrote synthetic dataset to {out}")
     return 0
 
+
+_SPLIT_KEYS = ("name", "tokens", "labels", "num_classes", "dim",
+               "tokens_per_example")
+
+
+def _strings(doc: dict, key: str, where: str) -> list[str]:
+    """The optional list ``doc[key]``, as strings."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: {key!r} must be a list")
+    return [str(s) for s in value]
+
+
+def _read_split(doc, base: Path, where: str) -> EmbeddingDataset:
+    """One split as ``cmd_synth`` writes it, checked against its tensors."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where}: split must be a JSON object")
+    for key in _SPLIT_KEYS:
+        if key not in doc:
+            raise ParseError(f"{where}: split missing field {key!r}")
+    num_classes, dim, t = (_whole(doc[k]) for k in
+                           ("num_classes", "dim", "tokens_per_example"))
+    if not all(n is not None and n >= 1 for n in (num_classes, dim, t)):
+        raise ParseError(f"{where}: num_classes, dim and tokens_per_example "
+                         "must be integers >= 1")
+    tokens = read_tensor(base / str(doc["tokens"]))
+    if tokens.ndim != 3 or tokens.shape[1:] != (t, dim):
+        raise ShapeMismatch(f"{where}: tokens shape {tokens.shape} disagrees "
+                            f"with the manifest (T={t}, D={dim})")
+    labels = read_tensor(base / str(doc["labels"]))
+    if labels.shape != tokens.shape[:1]:
+        raise ShapeMismatch(f"{where}: labels shape {labels.shape} disagrees "
+                            f"with M={tokens.shape[0]}")
+    if np.any(labels != np.round(labels)):
+        raise LabelOutOfRange(f"{where}: labels must be integral")
+    if len(_strings(doc, "class_names", where)) not in (0, num_classes):
+        raise ParseError(f"{where}: class_names must be empty or have "
+                         "num_classes entries")
+    return EmbeddingDataset(tokens=tokens, labels=labels,
+                            num_classes=num_classes)
+
+
+def load_experiment(manifest_path: str | Path):
+    """Read an experiment manifest: train/test datasets plus the bank."""
+    path = Path(manifest_path)
+    doc = _read_json(path, ParseError)
+    for key in ("train", "test", "bank"):
+        if key not in doc:
+            raise ParseError(f"{path}: experiment manifest missing {key!r}")
+
+    base = path.parent
+    train_ds = _read_split(doc["train"], base, f"{path}: train")
+    test_ds = _read_split(doc["test"], base, f"{path}: test")
+
+    bank_doc = doc["bank"]
+    if not isinstance(bank_doc, dict) or "embeddings" not in bank_doc:
+        raise ParseError(f"{path}: bank section needs an 'embeddings' path")
+    emb = read_tensor(base / str(bank_doc["embeddings"]))
+    if emb.ndim != 3:
+        raise ParseError(f"{path}: bank tensor must have shape (N, C, D)")
+    bank = TextEmbeddingBank(
+        embeddings=emb.astype(np.float64),
+        prompt_templates=_strings(bank_doc, "prompt_templates", f"{path}: bank"),
+        class_names=_strings(bank_doc, "class_names", f"{path}: bank"),
+    )
+    if {train_ds.num_classes, test_ds.num_classes} != {bank.num_classes}:
+        raise ParseError(f"{path}: bank and splits disagree on C")
+    return train_ds, test_ds, bank
+
+
+# --- saved heads and parameters -----------------------------------------------
+
+def _write_params(out: Path, params: ModelParams) -> None:
+    for name in _PARAM_NAMES:
+        write_tensor(out / f"params_{name}.cnit", params.group(name))
+    write_json(out / "model.json", {
+        "dim": params.dim,
+        "num_classes": params.num_classes,
+        "logit_scale": params.logit_scale,
+    })
+
+
+def _read_params(path: str | Path) -> ModelParams:
+    """Load model params from a train output dir, or lift a saved head."""
+    d = Path(path)
+    if (d / "params_W.cnit").exists():
+        arrays = {n: read_tensor(d / f"params_{n}.cnit").astype(np.float64)
+                  for n in _PARAM_NAMES}
+        scale = 10.0
+        model_doc = d / "model.json"
+        if model_doc.exists():
+            scale = _read_json(model_doc, ParseError).get("logit_scale", 10.0)
+            if type(scale) not in (int, float) or not scale > 0:
+                raise ParseError(f"{model_doc}: logit_scale must be a "
+                                 "positive number")
+        return ModelParams(logit_scale=float(scale), **arrays)
+    if (d / "head_W.cnit").exists():
+        W = read_tensor(d / "head_W.cnit").astype(np.float64)
+        b = read_tensor(d / "head_b.cnit").astype(np.float64)
+        head = Head(W=W, b=b, init_provenance=[])
+        return init_params(head)
+    raise DataError(f"{d}: found neither params_*.cnit nor head_W.cnit")
+
+
+def _write_head(out: Path, head: Head, spec: HeadInitSpec) -> None:
+    write_tensor(out / "head_W.cnit", head.W)
+    write_tensor(out / "head_b.cnit", head.b)
+    write_json(out / "head.json", {
+        "mode": spec.mode,
+        "fraction": spec.fraction,
+        "seed": spec.seed,
+        "num_text_rows": sum(1 for p in head.init_provenance if p == "text"),
+        "provenance": head.init_provenance,
+    })
+
+
+# --- subcommands --------------------------------------------------------------
 
 def cmd_init_head(args) -> int:
     run = _resolve(args)
@@ -392,16 +440,16 @@ def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
 
     An entry's ``init_seed`` and ``seed`` default to the sweep's --seed.
     """
-    doc = _load_config_file(path)
+    doc = _read_json(path, ConfigError) if path else {}
     for key in doc:
         if key != "entries":
             raise ConfigError(f"{path}: unknown key {key!r}")
-    docs = doc.get("entries") or [
+    docs = doc.get("entries", [
         {"label": f"{mode}_{shots}shot", "init": mode, "shots": shots}
         for shots in (1, 5) for mode in (MODE_CNI, MODE_RANDOM)
-    ]
-    if not isinstance(docs, list):
-        raise ConfigError(f"{path}: 'entries' must be a list")
+    ])
+    if not isinstance(docs, list) or not docs:
+        raise ConfigError(f"{path}: 'entries' must be a non-empty list")
     entries = []
     for i, e in enumerate(docs):
         if not isinstance(e, dict) or "label" not in e:

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ConfigError, DataError, InsufficientExamples, LabelOutOfRange
 from .headinit import TextEmbeddingBank
 from .rng import Stream, substream_seed
-from .tensorio import DatasetManifest, read_tensor
 
 # substream ids for make_synthetic
 _SUB_PROTOTYPES = 0
@@ -195,13 +194,3 @@ def make_synthetic(
     )
     return train, test, bank
 
-
-def load_embedding_dataset(manifest: DatasetManifest) -> EmbeddingDataset:
-    """Materialize the dataset a validated manifest points to."""
-    tokens = read_tensor(manifest.tokens_path)
-    labels = read_tensor(manifest.labels_path)
-    return EmbeddingDataset(
-        tokens=tokens.astype(np.float64),
-        labels=labels.astype(np.int64),
-        num_classes=manifest.num_classes,
-    )

@@ -144,7 +144,6 @@ class ForwardCache:
 
     adapted: np.ndarray      # (B, T, D) adapter outputs
     attn: np.ndarray         # (B, T) attention weights, rows sum to 1
-    pooled: np.ndarray       # (B, D) H
     pooled_unit: np.ndarray  # (B, D) H / ||H||
     pool_norms: np.ndarray   # (B,)
     logits: np.ndarray       # (B, C)
@@ -180,7 +179,7 @@ def forward(p: ModelParams, tokens: np.ndarray) -> ForwardCache:
     logits = p.logit_scale * (pooled_unit @ p.W.T) + p.b
     probs = _softmax_rows(logits)
     return ForwardCache(
-        adapted=adapted, attn=attn, pooled=pooled, pooled_unit=pooled_unit,
+        adapted=adapted, attn=attn, pooled_unit=pooled_unit,
         pool_norms=norms, logits=logits, probs=probs,
     )
 
@@ -276,16 +275,14 @@ def backward(
     cfg: LossConfig,
     policy: str,
     teacher_probs: np.ndarray | None = None,
-    cache: ForwardCache | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of loss_total w.r.t. the policy's trainable params.
 
     The returned dict contains entries only for unlocked parameter
-    groups. ``cache`` may be passed to reuse a forward pass.
+    groups.
     """
     names = trainable_names(policy)
-    if cache is None:
-        cache = forward(p, tokens)
+    cache = forward(p, tokens)
     tokens = np.asarray(tokens, dtype=np.float64)
     batch = tokens.shape[0]
     num_classes = p.num_classes

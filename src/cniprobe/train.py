@@ -27,7 +27,7 @@ from .model import (
     loss_total,
     trainable_names,
 )
-from .optim import AdafactorConfig, AdafactorState, ScheduleConfig, adafactor_step, cosine_lr
+from .optim import AdafactorState, ScheduleConfig, adafactor_step, cosine_lr
 from .rng import Stream, substream_seed
 
 _SHUFFLE_STREAM = 0  # labeled batch order
@@ -47,7 +47,6 @@ class TrainConfig:
     policy: str = "PL"
     seed: int = 0
     eval_every: int = 10
-    optimizer: AdafactorConfig = field(default_factory=AdafactorConfig)
     shot_spec: ShotSpec | None = None
 
     def __post_init__(self):
@@ -167,7 +166,6 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
     shuffle = Stream(substream_seed(cfg.seed, _SHUFFLE_STREAM))
     state = AdafactorState()
     trainable = params.trainable(cfg.policy)
-    distilling = ctx is not None and cfg.loss.distill_weight > 0.0
     step = 0
     lr = 0.0
     for epoch in range(1, cfg.epochs + 1):
@@ -178,14 +176,14 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
             lr = cosine_lr(step, sched)
             grads = backward(params, data.tokens[batch], data.labels[batch],
                              anchor, cfg.loss, cfg.policy)
-            if distilling:
+            if ctx is not None:
                 pool = ctx.next_batch()
                 extra = backward(params, ctx.tokens[pool], None, None,
                                  cfg.loss, cfg.policy,
                                  teacher_probs=ctx.teacher_probs[pool])
                 for name in grads:
                     grads[name] = grads[name] + extra[name]
-            adafactor_step(state, trainable, grads, lr, cfg.optimizer)
+            adafactor_step(state, trainable, grads, lr)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             history.append(_evaluate(epoch, step, lr, params, data,
                                      test_ds, cfg, anchor, ctx))

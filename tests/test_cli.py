@@ -7,12 +7,14 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cniprobe import tensorio
 from cniprobe.benchmark import RunSpec
 from cniprobe.cli import build_parser, load_experiment, main
-from cniprobe.tensorio import read_tensor, write_json
+from cniprobe.errors import LabelOutOfRange, ParseError, ShapeMismatch
+from cniprobe.tensorio import read_tensor, write_json, write_tensor
 
 SMALL_SYNTH = [
     "--classes", "3", "--dim", "8", "--tokens", "2",
@@ -278,6 +280,13 @@ def test_sweep_config_takes_only_entries(data_dir, tmp_path, capsys):
     assert code == 2
     assert "unknown key 'seed'" in capsys.readouterr().err
 
+    for entries in ([], {}, None):  # never the default grid
+        write_json(cfg, {"entries": entries})
+        code = main(["sweep", "--manifest", str(data_dir / "manifest.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "s")])
+        assert code == 2, entries
+        assert "'entries' must be a non-empty list" in capsys.readouterr().err
+
 
 def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
     manifest = str(data_dir / "manifest.json")
@@ -291,6 +300,21 @@ def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
     assert main(["sweep", "--manifest", manifest, "--config", str(bad),
                  "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.count("expected int, got 'abc'") == 3
+
+    for i, doc in enumerate([{"epochs": 2.7}, {"eval_every": True},
+                             {"shots": 1.5}, {"lr": True}]):
+        write_json(bad, doc)
+        assert main(["train", "--manifest", manifest, "--config", str(bad),
+                     "--out", str(tmp_path / f"n{i}")]) == 2, doc
+        key, value = next(iter(doc.items()))
+        assert f"{key}: expected" in capsys.readouterr().err
+        assert not (tmp_path / f"n{i}").exists()
+
+    write_json(bad, {"epochs": 3.0, "batch_size": 4})
+    out = tmp_path / "whole"
+    assert main(["train", "--manifest", manifest, "--config", str(bad),
+                 "--out", str(out)]) == 0
+    assert '"epochs": 3,' in (out / "config.json").read_text()
 
 
 def test_run_spec_fields_on_every_surface(data_dir, tmp_path):
@@ -347,6 +371,113 @@ def test_load_experiment_reads_each_tensor_once(data_dir, monkeypatch):
     load_experiment(data_dir / "manifest.json")
     assert sorted(reads) == ["bank.cnit", "test_labels.cnit", "test_tokens.cnit",
                              "train_labels.cnit", "train_tokens.cnit"]
+
+
+# --- experiment manifest ------------------------------------------------------
+
+def _tiny_experiment(root, m=4, t=2, d=3, num_classes=2):
+    """Write a manifest whose splits share one tensor pair; return all three."""
+    root.mkdir(parents=True, exist_ok=True)
+    tokens = np.random.default_rng(0).standard_normal((m, t, d))
+    labels = np.arange(m) % num_classes
+    write_tensor(root / "tok.cnit", tokens)
+    write_tensor(root / "lab.cnit", labels)
+    write_tensor(root / "bank.cnit", np.eye(num_classes, d)[None])
+    split = {"name": "toy", "tokens": "tok.cnit", "labels": "lab.cnit",
+             "num_classes": num_classes, "dim": d, "tokens_per_example": t}
+    doc = {"train": split, "test": dict(split),
+           "bank": {"embeddings": "bank.cnit"}}
+    write_json(root / "manifest.json", doc)
+    return doc, tokens, labels
+
+
+def test_load_experiment_roundtrip_is_bit_exact(tmp_path):
+    _, tokens, labels = _tiny_experiment(tmp_path)
+    for ds in load_experiment(tmp_path / "manifest.json")[:2]:
+        assert ds.num_examples == 4
+        assert ds.labels.tolist() == labels.tolist()
+        np.testing.assert_array_equal(
+            ds.tokens, tokens.astype(np.float32).astype(np.float64))
+
+
+def _set(**fields):
+    return lambda doc, root: doc["train"].update(fields)
+
+
+def _labels(values):
+    return lambda doc, root: write_tensor(root / "lab.cnit", np.array(values))
+
+
+@pytest.mark.parametrize("edit, error", [
+    pytest.param(lambda doc, root: doc["train"].pop("dim"), ParseError,
+                 id="missing_field"),
+    pytest.param(lambda doc, root: doc["train"].pop("name"), ParseError,
+                 id="missing_name"),
+    pytest.param(_set(dim=99), ShapeMismatch, id="shape_cross_check"),
+    pytest.param(_labels([0.0, 1.0]), ShapeMismatch, id="labels_length"),
+    pytest.param(_labels([0.0, 0.5, 1.0, 1.0]), LabelOutOfRange,
+                 id="fractional_labels"),
+    pytest.param(_labels([0.0, 1.0, 2.0, 0.0]), LabelOutOfRange,
+                 id="out_of_range_labels"),
+    pytest.param(_set(class_names=["only-one"]), ParseError,
+                 id="class_names_length"),
+    pytest.param(_set(num_classes="abc"), ParseError, id="count_is_string"),
+    pytest.param(_set(dim=3.5), ParseError, id="count_is_fraction"),
+    pytest.param(_set(tokens_per_example=True), ParseError, id="count_is_bool"),
+    pytest.param(_set(num_classes=0), ParseError, id="count_is_zero"),
+    pytest.param(lambda doc, root: doc["test"].update(num_classes=3),
+                 ParseError, id="test_split_classes"),
+    pytest.param(lambda doc, root: doc["bank"].update(prompt_templates=3),
+                 ParseError, id="bank_names_not_list"),
+])
+def test_load_experiment_rejects_bad_manifest(tmp_path, edit, error):
+    doc, _, _ = _tiny_experiment(tmp_path)
+    edit(doc, tmp_path)
+    write_json(tmp_path / "manifest.json", doc)
+    with pytest.raises(error):
+        load_experiment(tmp_path / "manifest.json")
+
+
+def test_load_experiment_accepts_whole_float_counts(tmp_path):
+    doc, _, _ = _tiny_experiment(tmp_path)
+    doc["train"].update(num_classes=2.0, dim=3.0, tokens_per_example=2.0)
+    write_json(tmp_path / "manifest.json", doc)
+    train, _, _ = load_experiment(tmp_path / "manifest.json")
+    assert train.num_classes == 2 and type(train.num_classes) is int
+
+
+def test_load_experiment_paths_resolve_against_manifest_dir(tmp_path,
+                                                            monkeypatch):
+    _tiny_experiment(tmp_path / "exp" / "v1")
+    monkeypatch.chdir(tmp_path)  # the tensors are not under the cwd
+    train, test, bank = load_experiment("exp/v1/manifest.json")
+    assert train.tokens.shape == test.tokens.shape == (4, 2, 3)
+    assert bank.num_classes == 2
+
+
+@pytest.mark.parametrize("where, bad", [
+    pytest.param("manifest", {"num_classes": "abc"}, id="manifest_string"),
+    pytest.param("manifest", {"dim": 8.7}, id="manifest_fraction"),  # D = 8
+    pytest.param("model", "{not json", id="model_not_json"),
+    pytest.param("model", "[1, 2]", id="model_not_object"),
+    pytest.param("model", '{"logit_scale": "abc"}', id="model_scale_string"),
+    pytest.param("model", '{"logit_scale": -1}', id="model_scale_negative"),
+])
+def test_malformed_input_is_data_error(data_dir, tmp_path, capsys, where, bad):
+    manifest = data_dir / "manifest.json"
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(manifest), "--epochs", "0",
+                 "--out", str(run)]) == 0
+    if where == "manifest":
+        doc = json.loads(manifest.read_text())
+        doc["train"].update(bad)
+        write_json(manifest, doc)
+    else:
+        (run / "model.json").write_text(bad)
+    code = main(["eval", "--manifest", str(manifest), "--params", str(run),
+                 "--out", str(tmp_path / "ev")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_console_script_installed():

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from cniprobe.dataset import (
     EmbeddingDataset,
     ShotSpec,
-    load_embedding_dataset,
     make_synthetic,
     sample_k_shot,
 )
@@ -22,7 +21,6 @@ from cniprobe.errors import (
     InsufficientExamples,
     LabelOutOfRange,
 )
-from cniprobe.tensorio import parse_dataset_manifest, write_tensor
 
 
 def _flat_ds(labels, num_classes):
@@ -204,20 +202,3 @@ def test_synthetic_validation():
     with pytest.raises(ConfigError):
         make_synthetic(num_classes=2, **{**kw, "tokens_per_example": 0})
 
-
-def test_load_embedding_dataset_roundtrip(tmp_path):
-    train, _, _ = make_synthetic(
-        num_classes=2, dim=4, tokens_per_example=2, train_per_class=3,
-        test_per_class=1, num_prompts=1, img_noise=0.2, txt_noise=0.1,
-        seed=9,
-    )
-    write_tensor(tmp_path / "tok.cnit", train.tokens)
-    write_tensor(tmp_path / "lab.cnit", train.labels)
-    man = parse_dataset_manifest({
-        "name": "rt", "tokens": "tok.cnit", "labels": "lab.cnit",
-        "num_classes": 2, "dim": 4, "tokens_per_example": 2,
-    }, tmp_path)
-    back = load_embedding_dataset(man)
-    assert back.labels.tolist() == train.labels.tolist()
-    np.testing.assert_array_equal(
-        back.tokens, train.tokens.astype(np.float32).astype(np.float64))

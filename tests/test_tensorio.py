@@ -1,4 +1,4 @@
-"""Tensor format roundtrips, header layout, fuzzing, manifest validation."""
+"""Tensor format roundtrips, header layout, fuzzing, JSON output."""
 
 import json
 import struct
@@ -10,21 +10,12 @@ from hypothesis import given, settings, strategies as st
 from cniprobe.errors import (
     BadMagic,
     BadVersion,
-    LabelOutOfRange,
     LengthMismatch,
     NonFiniteValue,
-    ParseError,
-    ShapeMismatch,
     TensorFormatError,
     UnsupportedDtype,
 )
-from cniprobe.tensorio import (
-    load_manifest,
-    parse_dataset_manifest,
-    read_tensor,
-    write_json,
-    write_tensor,
-)
+from cniprobe.tensorio import read_tensor, write_json, write_tensor
 
 @st.composite
 def float32_arrays(draw):
@@ -155,78 +146,6 @@ def test_nonfinite_gate(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(LengthMismatch):
         read_tensor(tmp_path / "nope.cnit")
-
-
-# --- manifests ---------------------------------------------------------------
-
-def _write_dataset(tmp_path, m=4, t=2, d=3, num_classes=2):
-    tokens = np.arange(m * t * d, dtype=np.float32).reshape(m, t, d)
-    labels = np.array([i % num_classes for i in range(m)], dtype=np.float32)
-    write_tensor(tmp_path / "tok.cnit", tokens)
-    write_tensor(tmp_path / "lab.cnit", labels)
-    return {
-        "name": "toy",
-        "tokens": "tok.cnit",
-        "labels": "lab.cnit",
-        "num_classes": num_classes,
-        "dim": d,
-        "tokens_per_example": t,
-    }
-
-
-def test_manifest_roundtrip(tmp_path):
-    doc = _write_dataset(tmp_path)
-    doc["class_names"] = ["a", "b"]
-    write_json(tmp_path / "manifest.json", doc)
-    man = load_manifest(tmp_path / "manifest.json")
-    assert man.name == "toy"
-    assert man.num_examples == 4
-    assert man.class_names == ["a", "b"]
-    assert man.tokens_path.exists()
-
-
-def test_manifest_missing_field(tmp_path):
-    doc = _write_dataset(tmp_path)
-    del doc["dim"]
-    with pytest.raises(ParseError):
-        parse_dataset_manifest(doc, tmp_path)
-
-
-def test_manifest_shape_cross_check(tmp_path):
-    doc = _write_dataset(tmp_path)
-    doc["dim"] = 99
-    with pytest.raises(ShapeMismatch):
-        parse_dataset_manifest(doc, tmp_path)
-
-
-def test_manifest_rejects_fractional_labels(tmp_path):
-    doc = _write_dataset(tmp_path)
-    write_tensor(tmp_path / "lab.cnit", np.array([0.0, 0.5, 1.0, 1.0]))
-    with pytest.raises(LabelOutOfRange):
-        parse_dataset_manifest(doc, tmp_path)
-
-
-def test_manifest_rejects_out_of_range_labels(tmp_path):
-    doc = _write_dataset(tmp_path)
-    write_tensor(tmp_path / "lab.cnit", np.array([0.0, 1.0, 2.0, 0.0]))
-    with pytest.raises(LabelOutOfRange):
-        parse_dataset_manifest(doc, tmp_path)
-
-
-def test_manifest_class_names_length(tmp_path):
-    doc = _write_dataset(tmp_path)
-    doc["class_names"] = ["only-one"]
-    with pytest.raises(ParseError):
-        parse_dataset_manifest(doc, tmp_path)
-
-
-def test_manifest_relative_paths_resolve_against_manifest_dir(tmp_path):
-    sub = tmp_path / "exp" / "v1"
-    sub.mkdir(parents=True)
-    doc = _write_dataset(sub)
-    write_json(sub / "manifest.json", doc)
-    man = load_manifest(sub / "manifest.json")  # cwd-independent
-    assert man.tokens_path.parent == sub.resolve()
 
 
 def test_write_json_is_deterministic(tmp_path):
