@@ -21,6 +21,8 @@ from cniprobe.errors import (
     InsufficientExamples,
     LabelOutOfRange,
 )
+from cniprobe.cli import load_experiment
+from cniprobe.tensorio import write_json, write_tensor
 
 
 def _flat_ds(labels, num_classes):
@@ -120,6 +122,26 @@ def test_subset_copies_rows():
     assert sub.labels.tolist() == [0, 1]
     sub.tokens[0, 0, 0] = 99.0
     assert ds.tokens[2, 0, 0] == 1.0  # parent untouched
+
+
+def test_load_embedding_dataset_roundtrip(tmp_path):
+    train, _, bank = make_synthetic(
+        num_classes=2, dim=4, tokens_per_example=2, train_per_class=3,
+        test_per_class=1, num_prompts=1, img_noise=0.2, txt_noise=0.1,
+        seed=9,
+    )
+    write_tensor(tmp_path / "tok.cnit", train.tokens)
+    write_tensor(tmp_path / "lab.cnit", train.labels)
+    write_tensor(tmp_path / "bank.cnit", bank.embeddings)
+    split = {"name": "rt", "tokens": "tok.cnit", "labels": "lab.cnit",
+             "num_classes": 2, "dim": 4, "tokens_per_example": 2}
+    write_json(tmp_path / "manifest.json", {
+        "train": split, "test": split, "bank": {"embeddings": "bank.cnit"},
+    })
+    back, _, _ = load_experiment(tmp_path / "manifest.json")
+    assert back.labels.tolist() == train.labels.tolist()
+    np.testing.assert_array_equal(
+        back.tokens, train.tokens.astype(np.float32).astype(np.float64))
 
 
 # --- synthetic generator -----------------------------------------------------
