@@ -370,18 +370,15 @@ def cmd_sample_shots(args) -> int:
     return 0
 
 
-def _start_run(args, spec: RunSpec):
-    """Check the spec, load the data and write the initial head."""
+def _train_and_write(args, spec: RunSpec, fit) -> int:
+    """Train with ``fit`` from the spec's head; ``--out`` is made only after."""
     head_spec, cfg = spec.head_spec(), spec.train_config()
-    out = _out_dir(args)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     head = init_head(head_spec, average_text_embeddings(bank),
                      bank.num_classes, bank.dim)
+    params, history = fit(init_params(head), train_ds, test_ds, cfg)
+    out = _out_dir(args)
     _write_head(out, head, head_spec)
-    return out, cfg, train_ds, test_ds, init_params(head)
-
-
-def _finish_run(out: Path, args, spec: RunSpec, cfg, params, history) -> int:
     (out / "metrics.csv").write_text(history.to_csv(), encoding="utf-8")
     write_json(out / "metrics.json", history.to_json_dict())
     _write_params(out, params)
@@ -397,20 +394,18 @@ def _finish_run(out: Path, args, spec: RunSpec, cfg, params, history) -> int:
 
 
 def cmd_train(args) -> int:
-    spec = _resolve(args)
-    out, cfg, train_ds, test_ds, params0 = _start_run(args, spec)
-    params, history = train(params0, train_ds, test_ds, cfg)
-    return _finish_run(out, args, spec, cfg, params, history)
+    return _train_and_write(args, _resolve(args), train)
 
 
 def cmd_distill(args) -> int:
     spec = _resolve(args)
     teacher = _read_params(args.teacher)
-    out, cfg, train_ds, test_ds, params0 = _start_run(args, spec)
-    unlabeled = train_ds if cfg.loss.distill_weight > 0 else None
-    params, history = distill_train(teacher, params0, train_ds, unlabeled,
-                                    test_ds, cfg)
-    return _finish_run(out, args, spec, cfg, params, history)
+
+    def fit(params0, train_ds, test_ds, cfg):
+        unlabeled = train_ds if cfg.loss.distill_weight > 0 else None
+        return distill_train(teacher, params0, train_ds, unlabeled, test_ds, cfg)
+
+    return _train_and_write(args, spec, fit)
 
 
 def cmd_eval(args) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import EmbeddingDataset, sample_k_shot
 from .errors import ConfigError, ShapeMismatch
 from .model import ModelParams, forward
-from .train import MetricHistory, TrainConfig, _DistillContext, _run
+from .train import MetricHistory, TrainConfig, _run
 
 
 def teacher_predict(teacher: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -48,7 +48,7 @@ def distill_train(
     if cfg.shot_spec is not None:
         data = labeled_ds.subset(sample_k_shot(labeled_ds, cfg.shot_spec))
 
-    ctx = None
+    pool = None
     if cfg.loss.distill_weight > 0.0:
         if unlabeled_ds is None or unlabeled_ds.num_examples == 0:
             raise ConfigError(
@@ -56,10 +56,6 @@ def distill_train(
             )
         if unlabeled_ds.dim != student0.dim:
             raise ShapeMismatch("unlabeled pool dim does not match student")
-        ctx = _DistillContext(
-            tokens=unlabeled_ds.tokens,
-            teacher_probs=teacher_predict(teacher, unlabeled_ds.tokens),
-            seed=cfg.seed,
-            batch_size=cfg.batch_size,
-        )
-    return _run(student0, data, test_ds, cfg, ctx=ctx)
+        pool = (unlabeled_ds.tokens,
+                teacher_predict(teacher, unlabeled_ds.tokens))
+    return _run(student0, data, test_ds, cfg, pool)

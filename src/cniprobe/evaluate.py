@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import EmbeddingDataset
 from .errors import ShapeMismatch, ZeroNormPooled
 from .headinit import TextEmbeddingBank, average_text_embeddings
-from .model import ModelParams, forward
+from .model import POLICY_ALL, ModelParams, forward, forward_from
 
 
 @dataclass
@@ -51,10 +51,14 @@ def predictions(params: ModelParams, ds: EmbeddingDataset) -> np.ndarray:
     return np.argmax(cache.logits, axis=1).astype(np.int64)
 
 
-def top1(params: ModelParams, ds: EmbeddingDataset) -> EvalReport:
+def top1(params: ModelParams, ds: EmbeddingDataset,
+         rows: np.ndarray | None = None, policy: str = POLICY_ALL) -> EvalReport:
+    """Top-1 report, from ``rows = prefix(params, ds.tokens, policy)`` if given."""
     if params.num_classes != ds.num_classes:
         raise ShapeMismatch("model and dataset disagree on class count")
-    return _report(ds.labels, predictions(params, ds), ds.num_classes)
+    cache = (forward(params, ds.tokens) if rows is None
+             else forward_from(params, rows, policy))
+    return _report(ds.labels, np.argmax(cache.logits, axis=1), ds.num_classes)
 
 
 def zero_shot_predictions(bank: TextEmbeddingBank, ds: EmbeddingDataset) -> np.ndarray:

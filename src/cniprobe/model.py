@@ -14,6 +14,8 @@ reproduce zero-shot cosine classification exactly at initialization.
 All math runs in float64; gradients of the full training loss
 (smoothed cross-entropy + anchored L2 + distillation KL) are closed
 form, with frozen parameter groups receiving no gradient entry.
+``backward`` starts from a policy's ``prefix`` rows, the output of
+its frozen stages, which a training run computes once per set.
 """
 
 from __future__ import annotations
@@ -140,14 +142,14 @@ class LossConfig:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations of one forward pass."""
+    """Intermediate activations of one forward pass (None: not run)."""
 
-    adapted: np.ndarray      # (B, T, D) adapter outputs
-    attn: np.ndarray         # (B, T) attention weights, rows sum to 1
-    pooled_unit: np.ndarray  # (B, D) H / ||H||
-    pool_norms: np.ndarray   # (B,)
-    logits: np.ndarray       # (B, C)
-    probs: np.ndarray        # (B, C)
+    adapted: np.ndarray | None     # (B, T, D) adapter outputs
+    attn: np.ndarray | None        # (B, T) attention weights, rows sum to 1
+    pooled_unit: np.ndarray        # (B, D) H / ||H||
+    pool_norms: np.ndarray | None  # (B,)
+    logits: np.ndarray             # (B, C)
+    probs: np.ndarray              # (B, C)
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -161,31 +163,62 @@ def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def forward(p: ModelParams, tokens: np.ndarray) -> ForwardCache:
-    """Run the pipeline on a (B, T, D) token batch."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 3 or tokens.shape[2] != p.dim:
-        raise ShapeMismatch(
-            f"tokens shape {tokens.shape} incompatible with D={p.dim}"
-        )
-    adapted = tokens @ p.A.T + p.a
+def _pool(p: ModelParams, adapted: np.ndarray):
+    """Attention weights, unit pooled rows and the pooled norms."""
     scores = (adapted @ p.q) / math.sqrt(p.dim)
     attn = _softmax_rows(scores)
     pooled = np.einsum("bt,btd->bd", attn, adapted)
     norms = np.linalg.norm(pooled, axis=1)
     if np.any(norms < _POOL_EPS):
         raise ZeroNormPooled("pooled embedding has zero norm")
-    pooled_unit = pooled / norms[:, None]
+    return attn, pooled / norms[:, None], norms
+
+
+def _as_rows(p: ModelParams, rows: np.ndarray, policy: str) -> np.ndarray:
+    """``rows`` as float64, checked against the policy's prefix shape."""
+    trainable_names(policy)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != (2 if policy == POLICY_L else 3) or rows.shape[-1] != p.dim:
+        raise ShapeMismatch(f"{policy} rows of shape {rows.shape} "
+                            f"incompatible with D={p.dim}")
+    return rows
+
+
+def prefix(p: ModelParams, tokens: np.ndarray, policy: str) -> np.ndarray:
+    """The rows the trainable part of ``policy`` starts from: the tokens
+    (ALL), the adapter outputs (PL) or the unit pooled rows (L). Each
+    example's rows are computed on their own, so a batch's rows equal
+    the batch's rows of the whole set bit for bit."""
+    trainable_names(policy)
+    tokens = _as_rows(p, tokens, POLICY_ALL)
+    if policy == POLICY_ALL:
+        return tokens
+    adapted = tokens @ p.A.T + p.a
+    return adapted if policy == POLICY_PL else _pool(p, adapted)[1]
+
+
+def forward_from(p: ModelParams, rows: np.ndarray, policy: str) -> ForwardCache:
+    """The pipeline from ``prefix(p, tokens, policy)`` rows on."""
+    rows = _as_rows(p, rows, policy)
+    adapted = attn = norms = None
+    if policy == POLICY_L:
+        pooled_unit = rows
+    else:
+        adapted = rows @ p.A.T + p.a if policy == POLICY_ALL else rows
+        attn, pooled_unit, norms = _pool(p, adapted)
     logits = p.logit_scale * (pooled_unit @ p.W.T) + p.b
-    probs = _softmax_rows(logits)
-    return ForwardCache(
-        adapted=adapted, attn=attn, pooled_unit=pooled_unit,
-        pool_norms=norms, logits=logits, probs=probs,
-    )
+    return ForwardCache(adapted, attn, pooled_unit, norms, logits,
+                        _softmax_rows(logits))
 
 
-def _smoothed_targets(labels: np.ndarray, num_classes: int,
-                      eps: float) -> np.ndarray:
+def forward(p: ModelParams, tokens: np.ndarray) -> ForwardCache:
+    """Run the pipeline on a (B, T, D) token batch."""
+    return forward_from(p, tokens, POLICY_ALL)
+
+
+def smoothed_targets(labels: np.ndarray, num_classes: int,
+                     eps: float) -> np.ndarray:
+    """Label-smoothed target rows; labels outside [0, C) raise DataError."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise DataError(f"labels must lie in [0, {num_classes})")
@@ -194,16 +227,9 @@ def _smoothed_targets(labels: np.ndarray, num_classes: int,
     return targets
 
 
-def _temperature_scaled(probs: np.ndarray, tau: float) -> np.ndarray:
-    """softmax(log p / tau); equals p when tau == 1."""
-    if tau == 1.0:
-        return probs
-    with np.errstate(divide="ignore"):
-        logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), -np.inf)
-    return _softmax_rows(logp / tau)
-
-
-def _check_teacher(teacher_probs: np.ndarray, num_classes: int) -> np.ndarray:
+def teacher_targets(teacher_probs: np.ndarray, num_classes: int,
+                    tau: float) -> np.ndarray:
+    """Checked teacher rows at temperature tau: softmax(log p / tau)."""
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
     if teacher_probs.ndim != 2 or teacher_probs.shape[1] != num_classes:
         raise BadTeacherDistribution(
@@ -213,7 +239,12 @@ def _check_teacher(teacher_probs: np.ndarray, num_classes: int) -> np.ndarray:
         raise BadTeacherDistribution("teacher probabilities must be >= 0")
     if np.any(np.abs(teacher_probs.sum(axis=1) - 1.0) > 1e-6):
         raise BadTeacherDistribution("teacher probability rows must sum to 1")
-    return teacher_probs
+    if tau == 1.0:
+        return teacher_probs
+    with np.errstate(divide="ignore"):
+        logp = np.where(teacher_probs > 0.0,
+                        np.log(np.maximum(teacher_probs, 1e-300)), -np.inf)
+    return _softmax_rows(logp / tau)
 
 
 def _kl_rows(teacher_tau: np.ndarray, student_probs_tau: np.ndarray) -> np.ndarray:
@@ -241,7 +272,7 @@ def loss_total(
     num_classes = p.num_classes
     ce = 0.0
     if labels is not None:
-        targets = _smoothed_targets(labels, num_classes, cfg.label_smoothing)
+        targets = smoothed_targets(labels, num_classes, cfg.label_smoothing)
         logp = _log_softmax_rows(cache.logits)
         ce = float(-(targets * logp).sum(axis=1).mean())
 
@@ -255,9 +286,8 @@ def loss_total(
 
     distill = 0.0
     if teacher_probs is not None and cfg.distill_weight > 0.0:
-        teacher_probs = _check_teacher(teacher_probs, num_classes)
         tau = cfg.distill_temperature
-        teacher_tau = _temperature_scaled(teacher_probs, tau)
+        teacher_tau = teacher_targets(teacher_probs, num_classes, tau)
         student_tau = _softmax_rows(cache.logits / tau) if tau != 1.0 else cache.probs
         distill = cfg.distill_weight * float(
             _kl_rows(teacher_tau, student_tau).mean()
@@ -269,35 +299,35 @@ def loss_total(
 
 def backward(
     p: ModelParams,
-    tokens: np.ndarray,
-    labels: np.ndarray | None,
+    rows: np.ndarray,
+    targets: np.ndarray | None,
     anchor: dict[str, np.ndarray] | None,
     cfg: LossConfig,
     policy: str,
-    teacher_probs: np.ndarray | None = None,
+    teacher: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of loss_total w.r.t. the policy's trainable params.
 
-    The returned dict contains entries only for unlocked parameter
-    groups.
+    ``rows`` are the batch's ``prefix(p, tokens, policy)``, ``targets``
+    its ``smoothed_targets`` (None for a batch without labels) and
+    ``teacher`` its ``teacher_targets``. The returned dict contains
+    entries only for unlocked parameter groups.
     """
     names = trainable_names(policy)
-    cache = forward(p, tokens)
-    tokens = np.asarray(tokens, dtype=np.float64)
-    batch = tokens.shape[0]
-    num_classes = p.num_classes
+    rows = np.asarray(rows, dtype=np.float64)
+    cache = forward_from(p, rows, policy)
+    batch, num_classes = cache.probs.shape
+    if any(t is not None and t.shape != cache.probs.shape for t in (targets, teacher)):
+        raise ShapeMismatch("target rows must match the batch's (B, C) logits")
 
     # d(loss)/d(logits), all terms combined
     g_logits = np.zeros((batch, num_classes))
-    if labels is not None:
-        targets = _smoothed_targets(labels, num_classes, cfg.label_smoothing)
+    if targets is not None:
         g_logits += (cache.probs - targets) / batch
-    if teacher_probs is not None and cfg.distill_weight > 0.0:
-        teacher_probs = _check_teacher(teacher_probs, num_classes)
+    if teacher is not None and cfg.distill_weight > 0.0:
         tau = cfg.distill_temperature
-        teacher_tau = _temperature_scaled(teacher_probs, tau)
         student_tau = _softmax_rows(cache.logits / tau) if tau != 1.0 else cache.probs
-        g_logits += cfg.distill_weight * (student_tau - teacher_tau) / (tau * batch)
+        g_logits += cfg.distill_weight * (student_tau - teacher) / (tau * batch)
 
     grads: dict[str, np.ndarray] = {}
     grads["b"] = g_logits.sum(axis=0)
@@ -317,7 +347,7 @@ def backward(
         if policy == POLICY_ALL:
             d_adapted = cache.attn[:, :, None] * d_pool[:, None, :]
             d_adapted += d_scores[:, :, None] * (p.q[None, None, :] / sqrt_d)
-            grads["A"] = np.einsum("btd,bte->de", d_adapted, tokens)
+            grads["A"] = np.einsum("btd,bte->de", d_adapted, rows)
             grads["a"] = d_adapted.sum(axis=(0, 1))
 
     if anchor is not None and cfg.anchor_lambda > 0.0:

@@ -89,10 +89,23 @@ class Stream:
         return np.array([self.gaussian() for _ in range(n)], dtype=np.float64)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates: i runs from len-1 down to 1, j = draw(i+1)."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates: i runs from len-1 down to 1, j = draw(i+1).
+
+        ``next_below`` and ``next_u64`` are inlined: same draws and state.
+        """
+        x, mask, mult = self._state, _MASK64, _XORSHIFT_MULT
+        top = (1 << 64) - len(items)  # below every bound's rejection limit
+        for n in range(len(items), 1, -1):
+            while True:
+                x ^= x >> 12
+                x = (x ^ (x << 25)) & mask
+                x ^= x >> 27
+                u = (x * mult) & mask
+                if u < top or u < (1 << 64) - (1 << 64) % n:
+                    break
+            j = u % n
+            items[n - 1], items[j] = items[j], items[n - 1]
+        self._state = x
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))

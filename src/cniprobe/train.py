@@ -1,7 +1,7 @@
 """Mini-batch training loop with freezing policies and metric history.
 
 One engine drives both plain fine-tuning and distillation: a step
-draws a labeled batch (and, when a distillation context is present, an
+draws a labeled batch (and, when an unlabeled pool is present, an
 unlabeled batch), combines the gradients, and applies one Adafactor
 update. Shuffling uses a dedicated substream of the run seed so that
 turning distillation on or off never perturbs labeled batch order.
@@ -15,16 +15,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import EmbeddingDataset, ShotSpec, sample_k_shot
-from .errors import ConfigError
+from .errors import CniProbeError, ConfigError, NumericalError
 from .evaluate import top1
 from .headinit import HeadInitSpec, TextEmbeddingBank, average_text_embeddings, init_head
 from .model import (
     LossConfig,
     ModelParams,
     backward,
-    forward,
+    forward_from,
     init_params,
     loss_total,
+    prefix,
+    smoothed_targets,
+    teacher_targets,
     trainable_names,
 )
 from .optim import AdafactorState, ScheduleConfig, adafactor_step, cosine_lr
@@ -100,56 +103,42 @@ class MetricHistory:
         return {"records": [vars(r).copy() for r in self.records]}
 
 
-class _DistillContext:
-    """Unlabeled-pool plumbing threaded through the training engine."""
-
-    def __init__(self, tokens: np.ndarray, teacher_probs: np.ndarray,
-                 seed: int, batch_size: int):
-        self.tokens = tokens
-        self.teacher_probs = teacher_probs
-        self.batch_size = batch_size
-        self._stream = Stream(substream_seed(seed, _UNLABELED_STREAM))
-        self._order: list[int] = []
-
-    def next_batch(self) -> np.ndarray:
-        """Next batch of pool indices; reshuffles when the pool runs dry."""
-        take = min(self.batch_size, self.tokens.shape[0])
+def _pool_batches(m: int, batch_size: int, seed: int):
+    """Batches of indices into an m-example unlabeled pool, drawn in turn
+    from the pool's permutations, each drawn when the last runs dry."""
+    stream = Stream(substream_seed(seed, _UNLABELED_STREAM))
+    order: list[int] = []
+    while True:
         batch = []
-        while len(batch) < take:
-            if not self._order:
-                self._order = self._stream.permutation(self.tokens.shape[0])
-            batch.append(self._order.pop(0))
-        return np.asarray(batch, dtype=np.int64)
-
-    def eval_loss(self, params: ModelParams, cfg: LossConfig) -> float:
-        """Distillation term over the whole pool, as reported in history."""
-        cache = forward(params, self.tokens)
-        _, parts = loss_total(cache, None, params, None, cfg,
-                              teacher_probs=self.teacher_probs)
-        return parts["distill"]
-
-
-def _evaluate(epoch: int, step: int, lr: float, params: ModelParams,
-              data: EmbeddingDataset, test_ds: EmbeddingDataset,
-              cfg: TrainConfig, anchor: dict[str, np.ndarray],
-              ctx: _DistillContext | None) -> MetricRecord:
-    cache = forward(params, data.tokens)
-    _, parts = loss_total(cache, data.labels, params, anchor, cfg.loss)
-    distill = ctx.eval_loss(params, cfg.loss) if ctx is not None else 0.0
-    report = top1(params, test_ds)
-    return MetricRecord(
-        epoch=epoch, step=step, lr=lr, loss_ce=parts["ce"],
-        loss_anchor=parts["anchor"], loss_distill=distill,
-        test_top1=report.top1,
-    )
+        while len(batch) < min(batch_size, m):
+            if not order:
+                order = stream.permutation(m)
+            batch.append(order.pop(0))
+        yield np.asarray(batch, dtype=np.int64)
 
 
 def _run(params0: ModelParams, data: EmbeddingDataset,
          test_ds: EmbeddingDataset, cfg: TrainConfig,
-         ctx: _DistillContext | None) -> tuple[ModelParams, MetricHistory]:
+         pool: tuple[np.ndarray, np.ndarray] | None = None
+         ) -> tuple[ModelParams, MetricHistory]:
+    """Train; ``pool`` is the unlabeled tokens and the teacher's probabilities."""
     params = params0.copy()
+    policy, loss_cfg = cfg.policy, cfg.loss
     anchor = {name: params0.group(name).copy()
-              for name in trainable_names(cfg.policy)}
+              for name in trainable_names(policy)}
+    trainable = params.trainable(policy)
+
+    # The groups the policy freezes never change, so each set's prefix
+    # rows, its smoothed targets and the teacher rows are built once.
+    num_classes = params0.num_classes
+    rows = prefix(params0, data.tokens, policy)
+    targets = smoothed_targets(data.labels, num_classes, loss_cfg.label_smoothing)
+    test_rows = prefix(params0, test_ds.tokens, policy)
+    if pool is not None:
+        pool_rows = prefix(params0, pool[0], policy)
+        pool_teacher = teacher_targets(pool[1], num_classes,
+                                       loss_cfg.distill_temperature)
+        pool_batches = _pool_batches(len(pool_rows), cfg.batch_size, cfg.seed)
 
     n = data.num_examples
     steps_per_epoch = math.ceil(n / cfg.batch_size)
@@ -157,15 +146,32 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
     sched = ScheduleConfig(base_lr=cfg.base_lr, total_steps=total_steps,
                            warmup_steps=cfg.warmup_steps, min_lr=cfg.min_lr)
 
+    def evaluate(epoch: int, step: int, lr: float) -> MetricRecord:
+        """The history row; non-finite parameters or losses raise."""
+        cache = forward_from(params, rows, policy)
+        _, parts = loss_total(cache, data.labels, params, anchor, loss_cfg)
+        if pool is not None:
+            _, pool_parts = loss_total(forward_from(params, pool_rows, policy),
+                                       None, params, None, loss_cfg,
+                                       teacher_probs=pool[1])
+            parts["distill"] = pool_parts["distill"]
+        if not (all(map(math.isfinite, parts.values()))
+                and all(np.isfinite(g).all() for g in trainable.values())):
+            raise NumericalError(f"training diverged by epoch {epoch}: "
+                                 "non-finite loss or parameters")
+        return MetricRecord(
+            epoch=epoch, step=step, lr=lr, loss_ce=parts["ce"],
+            loss_anchor=parts["anchor"], loss_distill=parts["distill"],
+            test_top1=top1(params, test_ds, test_rows, policy).top1,
+        )
+
     history = MetricHistory()
-    history.append(_evaluate(0, 0, cosine_lr(0, sched), params, data,
-                             test_ds, cfg, anchor, ctx))
+    history.append(evaluate(0, 0, cosine_lr(0, sched)))
     if cfg.epochs == 0:
         return params, history
 
     shuffle = Stream(substream_seed(cfg.seed, _SHUFFLE_STREAM))
     state = AdafactorState()
-    trainable = params.trainable(cfg.policy)
     step = 0
     lr = 0.0
     for epoch in range(1, cfg.epochs + 1):
@@ -174,19 +180,17 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
             batch = np.asarray(order[lo:lo + cfg.batch_size], dtype=np.int64)
             step += 1
             lr = cosine_lr(step, sched)
-            grads = backward(params, data.tokens[batch], data.labels[batch],
-                             anchor, cfg.loss, cfg.policy)
-            if ctx is not None:
-                pool = ctx.next_batch()
-                extra = backward(params, ctx.tokens[pool], None, None,
-                                 cfg.loss, cfg.policy,
-                                 teacher_probs=ctx.teacher_probs[pool])
+            grads = backward(params, rows[batch], targets[batch], anchor,
+                             loss_cfg, policy)
+            if pool is not None:
+                idx = next(pool_batches)
+                extra = backward(params, pool_rows[idx], None, None,
+                                 loss_cfg, policy, teacher=pool_teacher[idx])
                 for name in grads:
                     grads[name] = grads[name] + extra[name]
             adafactor_step(state, trainable, grads, lr)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            history.append(_evaluate(epoch, step, lr, params, data,
-                                     test_ds, cfg, anchor, ctx))
+            history.append(evaluate(epoch, step, lr))
     return params, history
 
 
@@ -202,7 +206,7 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
     data = train_ds
     if cfg.shot_spec is not None:
         data = train_ds.subset(sample_k_shot(train_ds, cfg.shot_spec))
-    return _run(params0, data, test_ds, cfg, ctx=None)
+    return _run(params0, data, test_ds, cfg)
 
 
 @dataclass
@@ -227,7 +231,7 @@ def _sweep_one(bank: TextEmbeddingBank, train_ds: EmbeddingDataset,
         params0 = init_params(head)
         _, history = train(params0, train_ds, test_ds, entry.cfg)
         return SweepRow(label=entry.label, final_top1=history.final.test_top1)
-    except Exception as exc:  # noqa: BLE001 - reported per row
+    except CniProbeError as exc:
         return SweepRow(label=entry.label, final_top1=None,
                         error=f"{type(exc).__name__}: {exc}")
 
@@ -235,7 +239,8 @@ def _sweep_one(bank: TextEmbeddingBank, train_ds: EmbeddingDataset,
 def sweep(bank: TextEmbeddingBank, train_ds: EmbeddingDataset,
           test_ds: EmbeddingDataset,
           entries: list[SweepEntry]) -> list[SweepRow]:
-    """Run each entry in input order; a failed entry becomes an error row.
+    """Run each entry in input order; an entry that fails with a package
+    error (``CniProbeError``) becomes an error row, any other propagates.
 
     Entries run serially: each run is Python-bound and holds the
     interpreter lock, so a thread pool would gain nothing.

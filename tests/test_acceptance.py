@@ -46,6 +46,9 @@ from cniprobe.model import (
     forward,
     init_params,
     loss_total,
+    prefix,
+    smoothed_targets,
+    teacher_targets,
     trainable_names,
 )
 from cniprobe.tensorio import read_tensor, write_tensor
@@ -164,8 +167,10 @@ def test_criterion_2_gradient_correctness():
                                 teacher_probs=teacher)
             return val
 
-        analytic = backward(params, tokens, labels, anchor, cfg, policy,
-                            teacher_probs=teacher)
+        analytic = backward(
+            params, prefix(params, tokens, policy),
+            smoothed_targets(labels, c, cfg.label_smoothing), anchor, cfg,
+            policy, teacher=teacher_targets(teacher, c, cfg.distill_temperature))
         rel_max = 0.0
         for name in trainable_names(policy):
             arr = params.group(name)

@@ -229,9 +229,30 @@ def test_missing_manifest_is_data_error(tmp_path):
 
 
 def test_oversized_shot_request_is_data_error(data_dir, tmp_path):
-    code = main(["train", "--manifest", str(data_dir / "manifest.json"),
+    manifest = str(data_dir / "manifest.json")
+    code = main(["train", "--manifest", manifest,
                  "--shots", "100", "--out", str(tmp_path / "r")] + FAST_TRAIN)
     assert code == 3
+    assert not (tmp_path / "r").exists()  # no half-written output
+    teacher = tmp_path / "teacher"
+    assert main(["train", "--manifest", manifest, "--policy", "ALL",
+                 "--out", str(teacher)] + FAST_TRAIN) == 0
+    code = main(["distill", "--manifest", manifest, "--teacher", str(teacher),
+                 "--shots", "100", "--out", str(tmp_path / "s")] + FAST_TRAIN)
+    assert code == 3
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+def test_divergence_is_numerical_error_and_writes_nothing(data_dir, tmp_path,
+                                                          capsys):
+    out = tmp_path / "r"
+    code = main(["train", "--manifest", str(data_dir / "manifest.json"),
+                 "--shots", "1", "--policy", "ALL", "--epochs", "20",
+                 "--lr", "1e30", "--out", str(out)])
+    assert code == 4
+    assert "diverged" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_sweep_default_grid(data_dir, tmp_path, capsys):

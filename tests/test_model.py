@@ -25,8 +25,12 @@ from cniprobe.model import (
     ModelParams,
     backward,
     forward,
+    forward_from,
     init_params,
     loss_total,
+    prefix,
+    smoothed_targets,
+    teacher_targets,
     trainable_names,
 )
 
@@ -111,6 +115,27 @@ def test_forward_rejects_bad_rank_and_dim(rng):
         forward(p, rng.normal(size=(5, 4)))
     with pytest.raises(ShapeMismatch):
         forward(p, rng.normal(size=(5, 3, 7)))
+    with pytest.raises(ShapeMismatch):  # L rows are (B, D)
+        forward_from(p, rng.normal(size=(5, 3, 4)), "L")
+    with pytest.raises(ShapeMismatch):
+        prefix(p, rng.normal(size=(5, 4)), "PL")
+    with pytest.raises(ConfigError):
+        prefix(p, rng.normal(size=(5, 3, 4)), "PLX")
+
+
+@pytest.mark.parametrize("policy", ["L", "PL", "ALL"])
+def test_prefix_rows_of_a_batch_are_the_batch_rows_bit_for_bit(policy):
+    # caching a run's prefix rows and indexing batches relies on this
+    rng = np.random.default_rng(5)
+    p = random_params(rng, c=10, d=32)  # non-identity A, non-zero a and q
+    tokens = rng.normal(size=(500, 4, 32))
+    whole = prefix(p, tokens, policy)
+    for idx in (rng.integers(0, 500, size=32), np.arange(7), [499], []):
+        rows = whole[np.asarray(idx, dtype=np.int64)]
+        assert rows.tobytes() == prefix(p, tokens[idx], policy).tobytes()
+        if len(idx):
+            assert (forward_from(p, rows, policy).logits.tobytes()
+                    == forward(p, tokens[idx]).logits.tobytes())
 
 
 def test_forward_zero_norm_pooled():
@@ -122,6 +147,8 @@ def test_forward_zero_norm_pooled():
     tokens = np.stack([np.stack([v, -v])])  # mean exactly zero
     with pytest.raises(ZeroNormPooled):
         forward(p, tokens)
+    with pytest.raises(ZeroNormPooled):  # checked once, when L rows are built
+        prefix(p, tokens, "L")
 
 
 # --- losses -------------------------------------------------------------------
@@ -255,6 +282,17 @@ def test_loss_config_validation():
 
 # --- gradients ----------------------------------------------------------------
 
+def token_backward(p, tokens, labels, anchor, cfg, policy, teacher=None):
+    """backward on a token batch, through its prefix rows and targets."""
+    c = p.num_classes
+    targets = None if labels is None else smoothed_targets(
+        labels, c, cfg.label_smoothing)
+    teacher_tau = None if teacher is None else teacher_targets(
+        teacher, c, cfg.distill_temperature)
+    return backward(p, prefix(p, tokens, policy), targets, anchor, cfg, policy,
+                    teacher=teacher_tau)
+
+
 def _flatten(arrs):
     return np.concatenate([a.ravel() for a in arrs])
 
@@ -299,8 +337,8 @@ def test_gradients_match_finite_differences(policy):
     cfg = LossConfig(label_smoothing=0.1, anchor_lambda=0.2,
                      distill_weight=0.5, distill_temperature=2.0)
 
-    analytic = backward(p, tokens, labels, anchor, cfg, policy,
-                        teacher_probs=teacher)
+    analytic = token_backward(p, tokens, labels, anchor, cfg, policy,
+                              teacher=teacher)
     an = _flatten([analytic[n] for n in trainable_names(policy)])
     fd = numeric_grad(p, tokens, labels, anchor, cfg, policy, teacher)
     rel = np.abs(an - fd) / np.maximum(1e-6, np.abs(an) + np.abs(fd))
@@ -313,7 +351,7 @@ def test_gradients_without_labels(rng):
     tokens = rng.normal(size=(4, 2, 4))
     teacher = rng.dirichlet(np.ones(3), size=4)
     cfg = LossConfig(distill_weight=1.0, distill_temperature=2.0)
-    analytic = backward(p, tokens, None, None, cfg, "ALL", teacher_probs=teacher)
+    analytic = token_backward(p, tokens, None, None, cfg, "ALL", teacher=teacher)
     an = _flatten([analytic[n] for n in trainable_names("ALL")])
     fd = numeric_grad(p, tokens, None, None, cfg, "ALL", teacher)
     rel = np.abs(an - fd) / np.maximum(1e-6, np.abs(an) + np.abs(fd))
@@ -325,8 +363,8 @@ def test_gradients_without_labels(rng):
 ])
 def test_gradient_dict_limited_to_policy(rng, policy, expected):
     p = random_params(rng)
-    grads = backward(p, rng.normal(size=(3, 2, 4)),
-                     np.zeros(3, dtype=int), None, LossConfig(), policy)
+    grads = token_backward(p, rng.normal(size=(3, 2, 4)),
+                           np.zeros(3, dtype=int), None, LossConfig(), policy)
     assert tuple(grads) == expected
 
 
@@ -339,9 +377,9 @@ def test_anchor_gradient_only_touches_anchored_groups(rng):
     p = random_params(rng)
     tokens = rng.normal(size=(3, 2, 4))
     labels = np.zeros(3, dtype=int)
-    base = backward(p, tokens, labels, None, LossConfig(), "PL")
-    anchored = backward(p, tokens, labels, {"W": p.W + 1.0},
-                        LossConfig(anchor_lambda=0.5), "PL")
+    base = token_backward(p, tokens, labels, None, LossConfig(), "PL")
+    anchored = token_backward(p, tokens, labels, {"W": p.W + 1.0},
+                              LossConfig(anchor_lambda=0.5), "PL")
     np.testing.assert_allclose(
         anchored["W"] - base["W"], 2.0 * 0.5 * -np.ones_like(p.W), atol=1e-12)
     np.testing.assert_array_equal(anchored["b"], base["b"])

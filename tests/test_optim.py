@@ -191,3 +191,65 @@ def test_schedule_validation():
         cosine_lr(11, cfg)
     with pytest.raises(ConfigError):
         cosine_lr(-1, cfg)
+
+
+def _textbook_step(state, params, grads, lr, cfg):
+    """The step with ``np.mean`` and ``max(1, rms)`` written out: the reference."""
+    state.step += 1
+    b2 = min(cfg.beta2, 1.0 - math.pow(state.step, -0.8))
+    for name, grad in grads.items():
+        p = params[name]
+        if name not in state.mom:
+            state.mom[name] = np.zeros(p.shape)
+            if p.ndim == 2:
+                state.row[name] = np.zeros(p.shape[0])
+                state.col[name] = np.zeros(p.shape[1])
+            else:
+                state.full[name] = np.zeros(p.shape)
+        sq = grad * grad + cfg.eps1
+        if p.ndim == 2:
+            r, c = state.row[name], state.col[name]
+            r *= b2
+            r += (1.0 - b2) * sq.mean(axis=1)
+            c *= b2
+            c += (1.0 - b2) * sq.mean(axis=0)
+            vhat = (r / r.mean())[:, None] * c[None, :]
+        else:
+            v = state.full[name]
+            v *= b2
+            v += (1.0 - b2) * sq
+            vhat = v
+        update = grad / np.sqrt(vhat)
+        if cfg.clip_threshold > 0:
+            rms = math.sqrt(float(np.mean(update * update)))
+            update /= max(1.0, rms / cfg.clip_threshold)
+        m = state.mom[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * update
+        if cfg.weight_decay > 0:
+            p *= 1.0 - lr * cfg.weight_decay
+        p -= lr * m
+
+
+@pytest.mark.parametrize("cfg", [
+    AdafactorConfig(),
+    AdafactorConfig(clip_threshold=0.0, weight_decay=0.0),
+    AdafactorConfig(clip_threshold=50.0, beta1=0.5),
+])
+def test_step_equals_textbook_reference_bit_for_bit(cfg):
+    rng = np.random.default_rng(3)
+    shapes = {"A": (8, 8), "W": (10, 8), "q": (8,), "b": (10,)}
+    params = {n: rng.normal(size=s) for n, s in shapes.items()}
+    ref = {n: p.copy() for n, p in params.items()}
+    state, ref_state = AdafactorState(), AdafactorState()
+    for step in range(1, 41):
+        grads = {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)
+                 for n, s in shapes.items()}
+        lr = 1e-3 / step
+        adafactor_step(state, params, grads, lr, cfg)
+        _textbook_step(ref_state, ref, grads, lr, cfg)
+    for n in shapes:
+        assert params[n].tobytes() == ref[n].tobytes()
+        assert state.mom[n].tobytes() == ref_state.mom[n].tobytes()
+    assert state.row["W"].tobytes() == ref_state.row["W"].tobytes()
+    assert state.col["A"].tobytes() == ref_state.col["A"].tobytes()

@@ -10,6 +10,7 @@ splitmix64 vector anchors the whole chain to the published algorithm.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cniprobe.rng import Stream, splitmix64_at, substream_seed
@@ -126,6 +127,18 @@ def test_shuffle_is_a_permutation(items, seed):
     shuffled = list(items)
     Stream(seed).shuffle(shuffled)
     assert sorted(shuffled) == sorted(items)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50, 500])
+def test_permutation_is_fisher_yates_over_next_below(n):
+    # the shuffle inlines next_below; it must leave the same stream state
+    stream, ref = Stream(n), Stream(n)
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = ref.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    assert stream.permutation(n) == items
+    assert stream.next_u64() == ref.next_u64()
 
 
 def test_permutation_contains_each_index_once():

@@ -1,10 +1,12 @@
 """Training-loop contracts: freezing, determinism, history, sweeps."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from cniprobe.dataset import ShotSpec
-from cniprobe.errors import ConfigError
+from cniprobe.errors import ConfigError, NumericalError
 from cniprobe.evaluate import zero_shot
 from cniprobe.headinit import HeadInitSpec, MODE_CNI, MODE_RANDOM
 from cniprobe.model import LossConfig
@@ -172,6 +174,36 @@ def test_sweep_order_and_error_capture(tiny_problem):
     assert rows[1].final_top1 is None
     assert "InsufficientExamples" in rows[1].error
     assert rows[0].error is None and rows[2].error is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+def test_divergence_raises_and_becomes_a_sweep_row(tiny_problem, tiny_cni_params):
+    train_ds, test_ds, bank = tiny_problem
+    cfg = _cfg(policy="ALL", base_lr=1e30, epochs=20)
+    with pytest.raises(NumericalError, match="diverged"):
+        train(tiny_cni_params, train_ds, test_ds, cfg)
+    row, = sweep(bank, train_ds, test_ds, _entries(1, policy="ALL",
+                                                    base_lr=1e30, epochs=20))
+    assert row.final_top1 is None
+    assert row.error.startswith("NumericalError: ")
+
+
+def test_sweep_rows_only_for_package_errors(tiny_problem, monkeypatch):
+    train_ds, test_ds, bank = tiny_problem
+    # the package rebinds the name ``cniprobe.train`` to the function
+    train_module = importlib.import_module("cniprobe.train")
+
+    def failing(exc):
+        def fake_train(*args):
+            raise exc
+        return fake_train
+
+    monkeypatch.setattr(train_module, "train", failing(ConfigError("bad lr")))
+    row, = sweep(bank, train_ds, test_ds, _entries(1))
+    assert row.error == "ConfigError: bad lr" and row.final_top1 is None
+    monkeypatch.setattr(train_module, "train", failing(TypeError("a defect")))
+    with pytest.raises(TypeError, match="a defect"):
+        sweep(bank, train_ds, test_ds, _entries(1))
 
 
 def test_sweep_rejects_empty_entries(tiny_problem):
