@@ -344,9 +344,9 @@ def _write_head(out: Path, head: Head, spec: HeadInitSpec) -> None:
 def cmd_init_head(args) -> int:
     run = _resolve(args)
     spec = run.head_spec()
-    out = _out_dir(args)
     _, _, bank = load_experiment(args.manifest)
     head = init_head(spec, average_text_embeddings(bank), bank.num_classes, bank.dim)
+    out = _out_dir(args)
     _write_head(out, head, spec)
     _echo_config(out, args, run)
     print(f"wrote head ({spec.mode}) to {out}")
@@ -355,9 +355,9 @@ def cmd_init_head(args) -> int:
 
 def cmd_sample_shots(args) -> int:
     spec = _resolve(args)
-    out = _out_dir(args)
     train_ds, _, _ = load_experiment(args.manifest)
     indices = sample_k_shot(train_ds, spec)
+    out = _out_dir(args)
     write_json(out / "shots.json", {
         "indices": indices,
         "k": spec.k,
@@ -414,13 +414,13 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"unknown split {spec.split!r}")
     if spec.zero_shot == (spec.params is not None):
         raise ConfigError("choose exactly one of --zero-shot / --params")
-    out = _out_dir(args)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     ds = test_ds if spec.split == "test" else train_ds
     if spec.zero_shot:
         report = zero_shot(bank, ds)
     else:
         report = top1(_read_params(spec.params), ds)
+    out = _out_dir(args)
     write_json(out / "eval.json", {
         "generated_at": _timestamp(),
         "report": report.to_json_dict(),
@@ -459,9 +459,9 @@ def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
 
 def cmd_sweep(args) -> int:
     entries = _sweep_entries(args.config, args.seed)
-    out = _out_dir(args)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     rows = sweep(bank, train_ds, test_ds, entries)
+    out = _out_dir(args)
     lines = ["label,final_top1,error"]
     for r in rows:
         acc = "" if r.final_top1 is None else repr(r.final_top1)

@@ -16,6 +16,10 @@ All math runs in float64; gradients of the full training loss
 form, with frozen parameter groups receiving no gradient entry.
 ``backward`` starts from a policy's ``prefix`` rows, the output of
 its frozen stages, which a training run computes once per set.
+The adapter is affine, so ALL never builds its (B, T, D) output: alpha
+is the softmax of <t_i, A^T q> / sqrt(D) (the shift <a, q> cancels) and
+H = A tbar + a with tbar = sum_i alpha_i t_i. ``forward`` runs the
+adapter explicitly.
 """
 
 from __future__ import annotations
@@ -66,11 +70,8 @@ class ModelParams:
     logit_scale: float = 10.0
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.a = np.asarray(self.a, dtype=np.float64)
-        self.q = np.asarray(self.q, dtype=np.float64)
-        self.W = np.asarray(self.W, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64)
+        for name in TRAINABLE[POLICY_ALL]:
+            setattr(self, name, np.asarray(self.group(name), dtype=np.float64))
         d = self.A.shape[0]
         c = self.W.shape[0]
         if self.A.shape != (d, d) or self.a.shape != (d,) or self.q.shape != (d,):
@@ -89,10 +90,8 @@ class ModelParams:
         return self.W.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            A=self.A.copy(), a=self.a.copy(), q=self.q.copy(),
-            W=self.W.copy(), b=self.b.copy(), logit_scale=self.logit_scale,
-        )
+        return ModelParams(logit_scale=self.logit_scale, **{
+            name: self.group(name).copy() for name in TRAINABLE[POLICY_ALL]})
 
     def group(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -144,7 +143,8 @@ class LossConfig:
 class ForwardCache:
     """Intermediate activations of one forward pass (None: not run)."""
 
-    adapted: np.ndarray | None     # (B, T, D) adapter outputs
+    adapted: np.ndarray | None     # (B, T, D) adapter outputs (PL only)
+    tbar: np.ndarray | None        # (B, D) sum_i alpha_i t_i (ALL only)
     attn: np.ndarray | None        # (B, T) attention weights, rows sum to 1
     pooled_unit: np.ndarray        # (B, D) H / ||H||
     pool_norms: np.ndarray | None  # (B,)
@@ -163,15 +163,18 @@ def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _pool(p: ModelParams, adapted: np.ndarray):
-    """Attention weights, unit pooled rows and the pooled norms."""
-    scores = (adapted @ p.q) / math.sqrt(p.dim)
-    attn = _softmax_rows(scores)
-    pooled = np.einsum("bt,btd->bd", attn, adapted)
+def _unit(pooled: np.ndarray):
+    """Unit pooled rows and their norms; a zero norm raises."""
     norms = np.linalg.norm(pooled, axis=1)
     if np.any(norms < _POOL_EPS):
         raise ZeroNormPooled("pooled embedding has zero norm")
-    return attn, pooled / norms[:, None], norms
+    return pooled / norms[:, None], norms
+
+
+def _pool(p: ModelParams, adapted: np.ndarray):
+    """Attention weights, unit pooled rows and the pooled norms."""
+    attn = _softmax_rows((adapted @ p.q) / math.sqrt(p.dim))
+    return (attn, *_unit(np.einsum("bt,btd->bd", attn, adapted)))
 
 
 def _as_rows(p: ModelParams, rows: np.ndarray, policy: str) -> np.ndarray:
@@ -200,20 +203,25 @@ def prefix(p: ModelParams, tokens: np.ndarray, policy: str) -> np.ndarray:
 def forward_from(p: ModelParams, rows: np.ndarray, policy: str) -> ForwardCache:
     """The pipeline from ``prefix(p, tokens, policy)`` rows on."""
     rows = _as_rows(p, rows, policy)
-    adapted = attn = norms = None
+    adapted = tbar = attn = norms = None
     if policy == POLICY_L:
         pooled_unit = rows
-    else:
-        adapted = rows @ p.A.T + p.a if policy == POLICY_ALL else rows
+    elif policy == POLICY_PL:
+        adapted = rows
         attn, pooled_unit, norms = _pool(p, adapted)
+    else:  # einsum, not @: its sums do not depend on the batch's row count
+        scores = np.einsum("btd,d->bt", rows, p.q @ p.A) / math.sqrt(p.dim)
+        attn = _softmax_rows(scores)  # <a, q> is the same for every token
+        tbar = np.einsum("bt,btd->bd", attn, rows)
+        pooled_unit, norms = _unit(np.einsum("de,be->bd", p.A, tbar) + p.a)
     logits = p.logit_scale * (pooled_unit @ p.W.T) + p.b
-    return ForwardCache(adapted, attn, pooled_unit, norms, logits,
+    return ForwardCache(adapted, tbar, attn, pooled_unit, norms, logits,
                         _softmax_rows(logits))
 
 
 def forward(p: ModelParams, tokens: np.ndarray) -> ForwardCache:
-    """Run the pipeline on a (B, T, D) token batch."""
-    return forward_from(p, tokens, POLICY_ALL)
+    """Run the pipeline on a (B, T, D) token batch, adapter explicit."""
+    return forward_from(p, prefix(p, tokens, POLICY_PL), POLICY_PL)
 
 
 def smoothed_targets(labels: np.ndarray, num_classes: int,
@@ -338,17 +346,20 @@ def backward(
         d_unit = p.logit_scale * (g_logits @ p.W)  # (B, D)
         radial = (d_unit * cache.pooled_unit).sum(axis=1, keepdims=True)
         d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
-        d_attn = np.einsum("btd,bd->bt", cache.adapted, d_pool)
+        if policy == POLICY_PL:
+            d_attn = np.einsum("btd,bd->bt", cache.adapted, d_pool)
+        else:  # <u_i, d_pool> less <a, d_pool>, which the softmax cancels
+            d_attn = np.einsum("btd,bd->bt", rows, d_pool @ p.A)
         inner = (cache.attn * d_attn).sum(axis=1, keepdims=True)
         d_scores = cache.attn * (d_attn - inner)
         sqrt_d = math.sqrt(p.dim)
-        grads["q"] = np.einsum("bt,btd->d", d_scores, cache.adapted) / sqrt_d
-
-        if policy == POLICY_ALL:
-            d_adapted = cache.attn[:, :, None] * d_pool[:, None, :]
-            d_adapted += d_scores[:, :, None] * (p.q[None, None, :] / sqrt_d)
-            grads["A"] = np.einsum("btd,bte->de", d_adapted, rows)
-            grads["a"] = d_adapted.sum(axis=(0, 1))
+        if policy == POLICY_PL:
+            grads["q"] = np.einsum("bt,btd->d", d_scores, cache.adapted) / sqrt_d
+        else:  # each row of d_scores sums to 0, so sum_i d_score_i u_i = A s
+            s = np.einsum("bt,btd->d", d_scores, rows)
+            grads["q"] = (p.A @ s) / sqrt_d
+            grads["A"] = d_pool.T @ cache.tbar + np.outer(p.q, s) / sqrt_d
+            grads["a"] = d_pool.sum(axis=0)
 
     if anchor is not None and cfg.anchor_lambda > 0.0:
         for name in anchor:

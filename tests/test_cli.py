@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cniprobe import tensorio
+from cniprobe import cli, tensorio
 from cniprobe.benchmark import RunSpec
 from cniprobe.cli import build_parser, load_experiment, main
 from cniprobe.errors import LabelOutOfRange, ParseError, ShapeMismatch
+from cniprobe.evaluate import predictions
+from cniprobe.model import forward_from, prefix
 from cniprobe.tensorio import read_tensor, write_json, write_tensor
 
 SMALL_SYNTH = [
@@ -222,10 +224,73 @@ def test_eval_accepts_trained_params(data_dir, tmp_path):
     assert 0.0 <= doc["report"]["top1"] <= 1.0
 
 
+@pytest.fixture(scope="module")
+def bench_experiment(tmp_path_factory):
+    """A benchmark-sized synthetic experiment (synth defaults, seed 3)."""
+    out = tmp_path_factory.mktemp("bench") / "data"
+    assert main(["synth", "--out", str(out), "--seed", "3"]) == 0
+    return out / "manifest.json"
+
+
+@pytest.mark.parametrize("shots", [1, 5])
+@pytest.mark.parametrize("policy", ["L", "PL", "ALL"])
+def test_saved_run_reproduces_in_memory_predictions(bench_experiment, tmp_path,
+                                                    monkeypatch, policy, shots):
+    # training keeps float64 params in memory and saves float32; ALL trains
+    # through the adapter's linearity while eval runs it explicitly
+    trained, real_train = [], cli.train
+
+    def spy(*args):
+        trained.append(real_train(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(cli, "train", spy)
+    run, ev = tmp_path / "run", tmp_path / "ev"
+    assert main(["train", "--manifest", str(bench_experiment), "--policy", policy,
+                 "--shots", str(shots), "--seed", "3", "--out", str(run)]) == 0
+    monkeypatch.undo()
+    assert main(["eval", "--manifest", str(bench_experiment), "--params", str(run),
+                 "--out", str(ev)]) == 0
+
+    params, _ = trained[0]
+    _, test_ds, _ = load_experiment(bench_experiment)
+    rows = prefix(params, test_ds.tokens, policy)
+    in_memory = np.argmax(forward_from(params, rows, policy).logits, axis=1)
+    saved = predictions(cli._read_params(run), test_ds)
+    np.testing.assert_array_equal(saved, in_memory)
+    confusion = np.zeros((test_ds.num_classes,) * 2, dtype=np.int64)
+    np.add.at(confusion, (test_ds.labels, in_memory), 1)
+    report = json.loads((ev / "eval.json").read_text())["report"]
+    assert report["confusion"] == confusion.tolist()
+    summary = json.loads((run / "summary.json").read_text())
+    assert report["top1"] == summary["final_top1"]
+
+
 def test_missing_manifest_is_data_error(tmp_path):
     code = main(["eval", "--manifest", str(tmp_path / "no.json"),
                  "--zero-shot", "--out", str(tmp_path / "e")])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["init-head"],
+    ["sample-shots", "--k", "1"],
+    ["eval", "--zero-shot"],
+    ["sweep"],
+], ids=lambda argv: argv[0])
+def test_unreadable_manifest_leaves_no_out(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main(argv + ["--manifest", str(tmp_path / "nope.json"),
+                        "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
+def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path):
+    out = tmp_path / "e"
+    assert main(["eval", "--manifest", str(data_dir / "manifest.json"),
+                 "--params", str(tmp_path / "nothing"), "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_oversized_shot_request_is_data_error(data_dir, tmp_path):

@@ -130,12 +130,19 @@ def test_prefix_rows_of_a_batch_are_the_batch_rows_bit_for_bit(policy):
     p = random_params(rng, c=10, d=32)  # non-identity A, non-zero a and q
     tokens = rng.normal(size=(500, 4, 32))
     whole = prefix(p, tokens, policy)
+    whole_unit = forward_from(p, whole, policy).pooled_unit
     for idx in (rng.integers(0, 500, size=32), np.arange(7), [499], []):
         rows = whole[np.asarray(idx, dtype=np.int64)]
         assert rows.tobytes() == prefix(p, tokens[idx], policy).tobytes()
         if len(idx):
-            assert (forward_from(p, rows, policy).logits.tobytes()
-                    == forward(p, tokens[idx]).logits.tobytes())
+            cache = forward_from(p, rows, policy)
+            assert cache.pooled_unit.tobytes() == whole_unit[idx].tobytes()
+            explicit = forward(p, tokens[idx]).logits
+            if policy == "ALL":  # linear route vs explicit adapter: rounding
+                np.testing.assert_allclose(cache.logits, explicit, rtol=0,
+                                           atol=1e-12)
+            else:
+                assert cache.logits.tobytes() == explicit.tobytes()
 
 
 def test_forward_zero_norm_pooled():
@@ -343,6 +350,71 @@ def test_gradients_match_finite_differences(policy):
     fd = numeric_grad(p, tokens, labels, anchor, cfg, policy, teacher)
     rel = np.abs(an - fd) / np.maximum(1e-6, np.abs(an) + np.abs(fd))
     assert rel.max() < 1e-4
+
+
+def explicit_all_backward(p, tokens, targets, anchor, cfg, teacher=None):
+    """Reference ALL gradients through the explicit (B, T, D) adapter output."""
+    cache = forward(p, tokens)  # cache.adapted holds A t_i + a
+    batch = tokens.shape[0]
+    g_logits = np.zeros_like(cache.probs)
+    if targets is not None:
+        g_logits += (cache.probs - targets) / batch
+    if teacher is not None and cfg.distill_weight > 0.0:
+        tau = cfg.distill_temperature
+        z = cache.logits / tau
+        student = np.exp(z - z.max(axis=1, keepdims=True))
+        student /= student.sum(axis=1, keepdims=True)
+        g_logits += cfg.distill_weight * (student - teacher) / (tau * batch)
+    d_unit = p.logit_scale * (g_logits @ p.W)
+    radial = (d_unit * cache.pooled_unit).sum(axis=1, keepdims=True)
+    d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
+    d_attn = np.einsum("btd,bd->bt", cache.adapted, d_pool)
+    inner = (cache.attn * d_attn).sum(axis=1, keepdims=True)
+    d_scores = cache.attn * (d_attn - inner)
+    sqrt_d = math.sqrt(p.dim)
+    d_adapted = cache.attn[:, :, None] * d_pool[:, None, :]
+    d_adapted += d_scores[:, :, None] * (p.q[None, None, :] / sqrt_d)
+    grads = {
+        "A": np.einsum("btd,bte->de", d_adapted, tokens),
+        "a": d_adapted.sum(axis=(0, 1)),
+        "q": np.einsum("bt,btd->d", d_scores, cache.adapted) / sqrt_d,
+        "W": p.logit_scale * (g_logits.T @ cache.pooled_unit),
+        "b": g_logits.sum(axis=0),
+    }
+    for name in anchor or {}:
+        grads[name] = grads[name] + 2.0 * cfg.anchor_lambda * (
+            p.group(name) - anchor[name])
+    return grads
+
+
+@pytest.mark.parametrize("terms", ["ce", "anchor", "distill", "all"])
+def test_all_gradients_match_explicit_adapter_reference(terms):
+    rng = np.random.default_rng(23)
+    p = random_params(rng, c=10, d=32)  # non-identity A, non-zero a and q
+    tokens = rng.normal(size=(32, 4, 32))
+    c = p.num_classes
+    labels = rng.integers(0, c, size=32)
+    teacher = rng.dirichlet(np.ones(c), size=32)
+    cfg = LossConfig(label_smoothing=0.1,
+                     anchor_lambda=0.2 if terms in ("anchor", "all") else 0.0,
+                     distill_weight=0.5 if terms in ("distill", "all") else 0.0,
+                     distill_temperature=2.0)
+    targets = smoothed_targets(labels, c, cfg.label_smoothing)
+    if terms == "distill":
+        targets = None
+    anchor = None
+    if cfg.anchor_lambda:
+        anchor = {n: p.group(n) + rng.normal(size=p.group(n).shape) * 0.1
+                  for n in trainable_names("ALL")}
+    teacher_tau = teacher_targets(teacher, c, cfg.distill_temperature)
+    got = backward(p, prefix(p, tokens, "ALL"), targets, anchor, cfg, "ALL",
+                   teacher=teacher_tau)
+    ref = explicit_all_backward(p, tokens, targets, anchor, cfg, teacher_tau)
+    assert tuple(got) == trainable_names("ALL")
+    for name in got:
+        scale = np.abs(ref[name]).max()
+        assert scale > 0
+        assert np.abs(got[name] - ref[name]).max() <= 1e-12 * scale, name
 
 
 def test_gradients_without_labels(rng):
