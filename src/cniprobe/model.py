@@ -210,7 +210,7 @@ def forward_from(p: ModelParams, rows: np.ndarray, policy: str) -> ForwardCache:
         adapted = rows
         attn, pooled_unit, norms = _pool(p, adapted)
     else:  # einsum, not @: its sums do not depend on the batch's row count
-        scores = np.einsum("btd,d->bt", rows, p.q @ p.A) / math.sqrt(p.dim)
+        scores = np.einsum("btd,d->bt", rows, (p.q @ p.A) / math.sqrt(p.dim))
         attn = _softmax_rows(scores)  # <a, q> is the same for every token
         tbar = np.einsum("bt,btd->bd", attn, rows)
         pooled_unit, norms = _unit(np.einsum("de,be->bd", p.A, tbar) + p.a)
@@ -329,9 +329,8 @@ def backward(
         raise ShapeMismatch("target rows must match the batch's (B, C) logits")
 
     # d(loss)/d(logits), all terms combined
-    g_logits = np.zeros((batch, num_classes))
-    if targets is not None:
-        g_logits += (cache.probs - targets) / batch
+    g_logits = (np.zeros((batch, num_classes)) if targets is None
+                else (cache.probs - targets) / batch)
     if teacher is not None and cfg.distill_weight > 0.0:
         tau = cfg.distill_temperature
         student_tau = _softmax_rows(cache.logits / tau) if tau != 1.0 else cache.probs
@@ -355,10 +354,10 @@ def backward(
         sqrt_d = math.sqrt(p.dim)
         if policy == POLICY_PL:
             grads["q"] = np.einsum("bt,btd->d", d_scores, cache.adapted) / sqrt_d
-        else:  # each row of d_scores sums to 0, so sum_i d_score_i u_i = A s
-            s = np.einsum("bt,btd->d", d_scores, rows)
-            grads["q"] = (p.A @ s) / sqrt_d
-            grads["A"] = d_pool.T @ cache.tbar + np.outer(p.q, s) / sqrt_d
+        else:  # rows of d_scores sum to 0: sum_i d_score_i u_i / sqrt(D) = A s
+            s = np.einsum("bt,btd->d", d_scores, rows) / sqrt_d
+            grads["q"] = p.A @ s
+            grads["A"] = d_pool.T @ cache.tbar + p.q[:, None] * s
             grads["a"] = d_pool.sum(axis=0)
 
     if anchor is not None and cfg.anchor_lambda > 0.0:
