@@ -16,12 +16,18 @@ to outweigh the initialization show on the partial and random heads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .dataset import EmbeddingDataset, ShotSpec, make_synthetic
-from .headinit import MODE_CNI, MODE_PARTIAL, MODE_RANDOM, HeadInitSpec, TextEmbeddingBank
-from .model import LossConfig
-from .train import TrainConfig
+from .distill import distill_train
+from .evaluate import zero_shot
+from .headinit import (MODE_CNI, MODE_PARTIAL, MODE_RANDOM, Head, HeadInitSpec,
+                       TextEmbeddingBank, average_text_embeddings, init_head)
+from .model import LossConfig, ModelParams, init_params
+from .train import MetricHistory, TrainConfig, train
 
 BENCH_CLASSES = 10
 BENCH_DIM = 32
@@ -71,7 +77,7 @@ def default_lr(init_mode: str) -> float:
     return _MODE_LR.get(init_mode, CNI_LR)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSpec:
     """One training run as flat settings, defaulting to the benchmark's.
 
@@ -117,7 +123,7 @@ class RunSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillSpec(RunSpec):
     """A student run: the policy is always ALL, plus the KL term's settings."""
 
@@ -133,10 +139,111 @@ class DistillSpec(RunSpec):
 
 def default_train_config(init_mode: str, seed: int, shots: int | None = None,
                          **overrides) -> TrainConfig:
-    """Benchmark TrainConfig for an init mode, seed, and shot count.
-
-    Keyword overrides replace individual TrainConfig fields (e.g.
-    policy="ALL", loss=LossConfig(anchor_lambda=0.1)).
-    """
+    """Benchmark TrainConfig for an init mode, seed, and shot count, with
+    keyword overrides of its fields (e.g. ``policy="ALL"``)."""
     cfg = RunSpec(init=init_mode, seed=seed, shots=shots).train_config()
     return replace(cfg, **overrides)
+
+
+def fit(spec: RunSpec, train_ds: EmbeddingDataset, test_ds: EmbeddingDataset,
+        bank: TextEmbeddingBank, teacher: ModelParams | None = None
+        ) -> tuple[Head, ModelParams, MetricHistory]:
+    """Build the spec's head from `bank` and train from it; a DistillSpec
+    trains against `teacher`, with the training split as its unlabeled
+    pool when its ``distill_weight`` is positive."""
+    head = init_head(spec.head_spec(), average_text_embeddings(bank),
+                     bank.num_classes, bank.dim)
+    params0, cfg = init_params(head), spec.train_config()
+    if not isinstance(spec, DistillSpec):
+        return (head, *train(params0, train_ds, test_ds, cfg))
+    pool = train_ds if spec.distill_weight > 0 else None
+    return (head,
+            *distill_train(teacher, params0, train_ds, pool, test_ds, cfg))
+
+
+_data = functools.cache(make_benchmark)
+
+
+@functools.cache
+def run(spec: RunSpec, seed: int, teacher: RunSpec | None = None
+        ) -> tuple[ModelParams, MetricHistory]:
+    """`spec` trained on benchmark seed `seed`, once per process; `teacher`
+    is the spec of a DistillSpec's teacher, run on the same seed. Callers
+    share the result, so they must not modify it."""
+    teacher_params = None if teacher is None else run(teacher, seed)[0]
+    return fit(spec, *_data(seed), teacher_params)[1:]
+
+
+# The studies' settings; the acceptance tests check the same arms.
+STUDY_SHOTS = (1, 5)
+STUDY_ANCHOR = 0.1  # anchor_lambda of the anchored arm
+STUDY_FRACTION = 0.5  # text fraction of the partial head
+
+
+def arm(seed: int, cls: type[RunSpec] = RunSpec, **fields) -> RunSpec:
+    """A run on benchmark seed `seed`, which is also its init and run seed."""
+    return cls(init_seed=seed, seed=seed, **fields)
+
+
+def _top1(spec: RunSpec, seed: int, *teacher: RunSpec) -> float:
+    return run(spec, seed, *teacher)[1].final.test_top1
+
+
+def _top1s(seeds, **fields) -> list[float]:
+    return [_top1(arm(s, **fields), s) for s in seeds]
+
+
+def _inits(seeds) -> list[str]:
+    """Mean and std top-1 of the cni, partial and random heads by shots."""
+    zs = [zero_shot(bank, test).top1 for _, test, bank in map(_data, seeds)]
+    header = "init".ljust(12) + "".join(f"{k}-shot".rjust(18)
+                                        for k in STUDY_SHOTS)
+    lines = [f"zero-shot reference: {np.mean(zs):.4f} +/- {np.std(zs):.4f}",
+             header, "-" * len(header)]
+    for init, fraction in ((MODE_CNI, None), (MODE_PARTIAL, STUDY_FRACTION),
+                           (MODE_RANDOM, None)):
+        label = init if fraction is None else f"{init}({fraction})"
+        cells = (_top1s(seeds, init=init, fraction=fraction, shots=k)
+                 for k in STUDY_SHOTS)
+        lines.append(label.ljust(12) + "".join(
+            f"{np.mean(a):.4f} +/- {np.std(a):.4f}".rjust(18) for a in cells))
+    return lines
+
+
+def _anchor(seeds) -> list[str]:
+    """The cni head with and without the anchored-L2 penalty, by shots."""
+    lines = []
+    for k in STUDY_SHOTS:
+        plain = _top1s(seeds, shots=k)
+        anchored = _top1s(seeds, shots=k, anchor_lambda=STUDY_ANCHOR)
+        lines.append(f"{k}-shot  plain    {[f'{a:.3f}' for a in plain]} "
+                     f"mean {np.mean(plain):.4f}")
+        lines.append(f"{k}-shot  anchored {[f'{a:.3f}' for a in anchored]} "
+                     f"mean {np.mean(anchored):.4f}  "
+                     f"delta {np.mean(anchored) - np.mean(plain):+.4f}")
+    return lines
+
+
+def _distill(seeds) -> list[str]:
+    """A full-data ALL teacher, then plain and distilled one-shot students."""
+    lines, rows = [], []
+    for s in seeds:
+        teacher = arm(s, policy="ALL")
+        rows.append([_top1(teacher, s)] + [
+            _top1(arm(s, DistillSpec, shots=1, distill_weight=w), s, teacher)
+            for w in (0.0, DISTILL_WEIGHT)])
+        lines.append("seed {}: teacher {:.4f}  plain {:.4f}  distilled {:.4f}"
+                     .format(s, *rows[-1]))
+    teach, plain, dist = (np.mean(col) for col in zip(*rows))
+    wins = sum(d > p for _, p, d in rows)
+    lines.append(f"means: teacher {teach:.4f}  plain {plain:.4f}  distilled "
+                 f"{dist:.4f}  ({wins}/{len(rows)} distillation wins)")
+    return lines
+
+
+STUDIES = {"inits": _inits, "anchor": _anchor, "distill": _distill}
+
+
+def study(name: str, seeds=BENCHMARK_SEEDS) -> list[str]:
+    """The lines of the study `name` (a key of STUDIES) over `seeds`."""
+    return STUDIES[name](tuple(seeds))

@@ -1,13 +1,13 @@
 """Command-line experiment runner.
 
 Subcommands: synth, init-head, sample-shots, train, distill, eval,
-sweep. Each command's settings are the fields of one spec dataclass
+sweep, study. Each command's settings are the fields of one spec dataclass
 (``RunSpec`` for train, ``DistillSpec`` for distill, ``ShotSpec`` for
 sample-shots, ...). Every field is a flag and a key of the optional
 --config JSON file; a flag beats a config key, which beats the
 default, and the resolved spec is echoed into the output directory as
 config.json. A sweep entry is ``{"label": ...}`` plus the keys that
-``train --config`` accepts.
+``train --config`` accepts. ``study`` prints ``benchmark.study``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error. Outputs are deterministic given flags and seeds;
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -28,9 +29,8 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import benchmark
-from .benchmark import DistillSpec, RunSpec
+from .benchmark import DistillSpec, RunSpec, fit
 from .dataset import EmbeddingDataset, ShotSpec, make_synthetic, sample_k_shot
-from .distill import distill_train
 from .errors import (
     CniProbeError,
     ConfigError,
@@ -52,7 +52,7 @@ from .headinit import (
 )
 from .model import ModelParams, init_params
 from .tensorio import read_tensor, write_json, write_tensor
-from .train import SweepEntry, sweep, train
+from .train import SweepEntry, sweep
 
 _PARAM_NAMES = ("A", "a", "q", "W", "b")
 
@@ -127,8 +127,9 @@ def _flag(name: str) -> str:
 def _convert(hint, value, where: str):
     """A flag string or JSON value as the field type `hint` (X or X | None).
 
-    Only a bool field takes a boolean, and an int field takes a whole
-    number or a string of one; anything else raises ConfigError.
+    Only a bool field takes a boolean, an int field takes a whole
+    number or a string of one, and a float field takes only a finite
+    value; anything else raises ConfigError.
     """
     kinds = get_args(hint) or (hint,)
     if value is None and type(None) in kinds:
@@ -139,10 +140,13 @@ def _convert(hint, value, where: str):
         if kind is int and not isinstance(value, str):
             arg = _whole(value)
         try:
-            return kind(arg)
+            result = kind(arg)
+            if kind is not float or math.isfinite(result):
+                return result
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    what = "finite float" if kind is float else kind.__name__
+    raise ConfigError(f"{where}: expected {what}, got {value!r}")
 
 
 def _build_spec(cls, names: tuple[str, ...], doc: dict, where: str,
@@ -315,9 +319,10 @@ def _read_params(path: str | Path) -> ModelParams:
         model_doc = d / "model.json"
         if model_doc.exists():
             scale = _read_json(model_doc, ParseError).get("logit_scale", 10.0)
-            if type(scale) not in (int, float) or not scale > 0:
+            if (type(scale) not in (int, float)
+                    or not 0 < scale <= sys.float_info.max):
                 raise ParseError(f"{model_doc}: logit_scale must be a "
-                                 "positive number")
+                                 "positive finite number")
         return ModelParams(logit_scale=float(scale), **arrays)
     if (d / "head_W.cnit").exists():
         W = read_tensor(d / "head_W.cnit").astype(np.float64)
@@ -370,13 +375,13 @@ def cmd_sample_shots(args) -> int:
     return 0
 
 
-def _train_and_write(args, spec: RunSpec, fit) -> int:
-    """Train with ``fit`` from the spec's head; ``--out`` is made only after."""
-    head_spec, cfg = spec.head_spec(), spec.train_config()
+def cmd_train(args) -> int:
+    """``train`` and ``distill``: ``fit`` the spec; ``--out`` is made after."""
+    spec = _resolve(args)
+    teacher = _read_params(args.teacher) if "teacher" in args.paths else None
+    head_spec, cfg = spec.head_spec(), spec.train_config()  # validate first
     train_ds, test_ds, bank = load_experiment(args.manifest)
-    head = init_head(head_spec, average_text_embeddings(bank),
-                     bank.num_classes, bank.dim)
-    params, history = fit(init_params(head), train_ds, test_ds, cfg)
+    head, params, history = fit(spec, train_ds, test_ds, bank, teacher)
     out = _out_dir(args)
     _write_head(out, head, head_spec)
     (out / "metrics.csv").write_text(history.to_csv(), encoding="utf-8")
@@ -391,21 +396,6 @@ def _train_and_write(args, spec: RunSpec, fit) -> int:
     _echo_config(out, args, replace(spec, lr=cfg.base_lr))
     print(f"final_top1={history.final.test_top1!r}")
     return 0
-
-
-def cmd_train(args) -> int:
-    return _train_and_write(args, _resolve(args), train)
-
-
-def cmd_distill(args) -> int:
-    spec = _resolve(args)
-    teacher = _read_params(args.teacher)
-
-    def fit(params0, train_ds, test_ds, cfg):
-        unlabeled = train_ds if cfg.loss.distill_weight > 0 else None
-        return distill_train(teacher, params0, train_ds, unlabeled, test_ds, cfg)
-
-    return _train_and_write(args, spec, fit)
 
 
 def cmd_eval(args) -> int:
@@ -451,30 +441,43 @@ def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
             raise ConfigError(f"sweep entry {i} must be an object with a 'label'")
         doc = {"init_seed": seed, "seed": seed, **e}
         label = str(doc.pop("label"))
+        if any(c in label for c in ",\r\n"):
+            raise ConfigError(f"sweep entry {i}: label {label!r} must not "
+                              "contain a comma or a line break")
         spec = _build_spec(RunSpec, _RUN_FIELDS, doc, f"sweep entry {i}")
         entries.append(SweepEntry(label=label, init=spec.head_spec(),
                                   cfg=spec.train_config()))
     return entries
 
 
+def _write_lines(args, name: str, lines: list[str]) -> Path:
+    """Print `lines` and write them to ``--out``/`name`; returns ``--out``."""
+    out = _out_dir(args)
+    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print("\n".join(lines))
+    return out
+
+
 def cmd_sweep(args) -> int:
     entries = _sweep_entries(args.config, args.seed)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     rows = sweep(bank, train_ds, test_ds, entries)
-    out = _out_dir(args)
     lines = ["label,final_top1,error"]
     for r in rows:
         acc = "" if r.final_top1 is None else repr(r.final_top1)
         err = r.error or ""
         lines.append(f"{r.label},{acc},{err.replace(',', ';')}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = _write_lines(args, "sweep.csv", lines)
     write_json(out / "summary.json", {
         "rows": [{"label": r.label, "final_top1": r.final_top1,
                   "error": r.error} for r in rows],
         "generated_at": _timestamp(),
     })
-    for line in lines:
-        print(line)
+    return 0
+
+
+def cmd_study(args) -> int:
+    _write_lines(args, "study.txt", benchmark.study(args.name, args.seeds))
     return 0
 
 
@@ -495,7 +498,7 @@ _COMMANDS = (
      ShotSpec, _names(ShotSpec), ("manifest",)),
     ("train", "fine-tune from an initialized head", cmd_train,
      RunSpec, _RUN_FIELDS, ("manifest",)),
-    ("distill", "train an ALL-policy student against a teacher", cmd_distill,
+    ("distill", "train an ALL-policy student against a teacher", cmd_train,
      DistillSpec, _names(DistillSpec, skip=("policy",)),
      ("manifest", "teacher")),
     ("eval", "evaluate a model or the zero-shot oracle", cmd_eval,
@@ -527,6 +530,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = sub.choices["sweep"]
     sweep_parser.add_argument("--seed", type=int, default=0,
                               help="default init_seed and seed of every entry")
+    study = sub.add_parser("study", help="print a study of the benchmark")
+    study.add_argument("name", choices=tuple(benchmark.STUDIES))
+    study.add_argument("--out", required=True, help="output directory")
+    study.add_argument("--seeds", type=int, nargs="+",
+                       default=benchmark.BENCHMARK_SEEDS,
+                       help="benchmark seeds (default: all five)")
+    study.set_defaults(func=cmd_study)
     return parser
 
 
@@ -535,18 +545,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except CniProbeError as exc:  # ConfigError and any other: 2
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CniProbeError as exc:  # pragma: no cover - safety net
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return (4 if isinstance(exc, NumericalError)
+                else 3 if isinstance(exc, DataError) else 2)
 
 
 if __name__ == "__main__":

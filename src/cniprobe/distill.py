@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dataset import EmbeddingDataset, sample_k_shot
+from .dataset import EmbeddingDataset
 from .errors import ConfigError, ShapeMismatch
 from .model import ModelParams, forward
 from .train import MetricHistory, TrainConfig, _run
@@ -43,11 +43,6 @@ def distill_train(
             or teacher.dim != student0.dim):
         raise ShapeMismatch("teacher and student must share C and D")
     cfg = replace(cfg, policy="ALL")
-
-    data = labeled_ds
-    if cfg.shot_spec is not None:
-        data = labeled_ds.subset(sample_k_shot(labeled_ds, cfg.shot_spec))
-
     pool = None
     if cfg.loss.distill_weight > 0.0:
         if unlabeled_ds is None or unlabeled_ds.num_examples == 0:
@@ -58,4 +53,4 @@ def distill_train(
             raise ShapeMismatch("unlabeled pool dim does not match student")
         pool = (unlabeled_ds.tokens,
                 teacher_predict(teacher, unlabeled_ds.tokens))
-    return _run(student0, data, test_ds, cfg, pool)
+    return _run(student0, labeled_ds, test_ds, cfg, pool)

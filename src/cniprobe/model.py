@@ -78,8 +78,8 @@ class ModelParams:
             raise ShapeMismatch("adapter/pooler shapes inconsistent")
         if self.W.shape != (c, d) or self.b.shape != (c,):
             raise ShapeMismatch("head shapes inconsistent with (C, D)")
-        if not self.logit_scale > 0:
-            raise ConfigError("logit_scale must be positive")
+        if not 0 < self.logit_scale < math.inf:
+            raise ConfigError("logit_scale must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -131,9 +131,9 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError("label_smoothing must lie in [0, 1)")
-        if self.anchor_lambda < 0:
+        if not self.anchor_lambda >= 0:
             raise ConfigError("anchor_lambda must be >= 0")
-        if self.distill_weight < 0:
+        if not self.distill_weight >= 0:
             raise ConfigError("distill_weight must be >= 0")
         if not self.distill_temperature > 0:
             raise ConfigError("distill_temperature must be positive")

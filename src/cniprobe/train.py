@@ -122,6 +122,8 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
          pool: tuple[np.ndarray, np.ndarray] | None = None
          ) -> tuple[ModelParams, MetricHistory]:
     """Train; ``pool`` is the unlabeled tokens and the teacher's probabilities."""
+    if cfg.shot_spec is not None:
+        data = data.subset(sample_k_shot(data, cfg.shot_spec))
     params = params0.copy()
     policy, loss_cfg = cfg.policy, cfg.loss
     anchor = {name: params0.group(name).copy()
@@ -203,10 +205,7 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
     ``train_ds`` first; the anchor reference is the pre-training value
     of the trainable parameters.
     """
-    data = train_ds
-    if cfg.shot_spec is not None:
-        data = train_ds.subset(sample_k_shot(train_ds, cfg.shot_spec))
-    return _run(params0, data, test_ds, cfg)
+    return _run(params0, train_ds, test_ds, cfg)
 
 
 @dataclass

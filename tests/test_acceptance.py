@@ -2,9 +2,10 @@
 
 Each test prints one ``criterion N: PASS/FAIL`` line (run pytest with
 ``-s`` to see the lines for passing tests too) and then asserts the
-stated property at the stated tolerance. Training runs are cached in
-module scope so criteria can share arms; everything is deterministic,
-so reruns reproduce the same numbers bit-for-bit.
+stated property at the stated tolerance. Training runs go through
+``benchmark.run``, which caches them per process, so criteria share
+arms with each other and with ``benchmark.study``; everything is
+deterministic, so reruns reproduce the same numbers bit-for-bit.
 
 Known state: criterion 5 checks the anchored-L2 penalty in both
 directions. Its one-shot half runs on the text-initialized (CNI) head,
@@ -21,25 +22,25 @@ five-shot pair is still printed on the criterion 5 line, marked as
 recorded and not checked.
 """
 
-import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cniprobe import benchmark
 from cniprobe.benchmark import (
     BENCHMARK_SEEDS,
-    DISTILL_TEMPERATURE,
     DISTILL_WEIGHT,
-    default_train_config,
+    STUDY_ANCHOR,
+    STUDY_FRACTION,
+    DistillSpec,
+    arm,
+    fit,
     make_benchmark,
 )
 from cniprobe.cli import main as cli_main
-from cniprobe.distill import distill_train
 from cniprobe.errors import TensorFormatError
 from cniprobe.evaluate import predictions, zero_shot, zero_shot_predictions
-from cniprobe.headinit import HeadInitSpec, average_text_embeddings, init_head
 from cniprobe.model import (
     LossConfig,
     backward,
@@ -52,60 +53,23 @@ from cniprobe.model import (
     trainable_names,
 )
 from cniprobe.tensorio import read_tensor, write_tensor
-from cniprobe.train import train
-
-_BENCH: dict = {}
-_RUNS: dict = {}
 
 
-def bench(seed):
-    if seed not in _BENCH:
-        _BENCH[seed] = make_benchmark(seed)
-    return _BENCH[seed]
+def run(seed, init, shots, **fields):
+    return benchmark.run(arm(seed, init=init, shots=shots, **fields), seed)
 
 
-def head_for(seed, mode, fraction=None):
-    _, _, bank = bench(seed)
-    spec = HeadInitSpec(mode=mode, fraction=fraction, seed=seed)
-    return init_head(spec, average_text_embeddings(bank), bank.num_classes,
-                     bank.dim)
-
-
-def run(seed, mode, shots, *, policy="PL", anchor=0.0, fraction=None):
-    key = (seed, mode, shots, policy, anchor, fraction)
-    if key not in _RUNS:
-        train_ds, test_ds, _ = bench(seed)
-        cfg = default_train_config(
-            mode, seed, shots=shots, policy=policy,
-            loss=LossConfig(anchor_lambda=anchor),
-        )
-        params0 = init_params(head_for(seed, mode, fraction))
-        _RUNS[key] = train(params0, train_ds, test_ds, cfg)
-    return _RUNS[key]
-
-
-def acc(seed, mode, shots, **kw):
-    return run(seed, mode, shots, **kw)[1].final.test_top1
+def acc(seed, init, shots, **fields):
+    return run(seed, init, shots, **fields)[1].final.test_top1
 
 
 def distill_pair(seed):
     """(plain 1-shot student, distilled 1-shot student) final accuracies."""
-    key = ("distill", seed)
-    if key not in _RUNS:
-        train_ds, test_ds, _ = bench(seed)
-        teacher, _ = run(seed, "cni", None, policy="ALL")
-        base = default_train_config("cni", seed, shots=1, policy="ALL")
-        student0 = init_params(head_for(seed, "cni"))
-        _, plain = distill_train(
-            teacher, student0.copy(), train_ds, None, test_ds,
-            replace(base, loss=LossConfig(distill_weight=0.0)))
-        _, dist = distill_train(
-            teacher, student0.copy(), train_ds, train_ds, test_ds,
-            replace(base, loss=LossConfig(
-                distill_weight=DISTILL_WEIGHT,
-                distill_temperature=DISTILL_TEMPERATURE)))
-        _RUNS[key] = (plain.final.test_top1, dist.final.test_top1)
-    return _RUNS[key]
+    teacher = arm(seed, policy="ALL")
+    return tuple(
+        benchmark.run(arm(seed, DistillSpec, shots=1, distill_weight=w), seed,
+                      teacher)[1].final.test_top1
+        for w in (0.0, DISTILL_WEIGHT))
 
 
 def _report(num, ok, detail):
@@ -115,16 +79,13 @@ def _report(num, ok, detail):
 # --- criteria -----------------------------------------------------------------
 
 def test_criterion_1_zero_shot_equivalence():
-    for seed in BENCHMARK_SEEDS:
-        bench(seed)  # materialize outside the timed window
+    data = [make_benchmark(s) for s in BENCHMARK_SEEDS]  # untimed
     start = time.time()
     ok = True
     accs = []
-    for seed in BENCHMARK_SEEDS:
-        train_ds, test_ds, bank = bench(seed)
-        params0 = init_params(head_for(seed, "cni"))
-        _, hist = train(params0, train_ds, test_ds,
-                        default_train_config("cni", seed, epochs=0))
+    for seed, (train_ds, test_ds, bank) in zip(BENCHMARK_SEEDS, data):
+        head, _, hist = fit(arm(seed, epochs=0), train_ds, test_ds, bank)
+        params0 = init_params(head)
         zs = zero_shot(bank, test_ds)
         same_preds = np.array_equal(zero_shot_predictions(bank, test_ds),
                                     predictions(params0, test_ds))
@@ -215,7 +176,7 @@ def test_criterion_3_cni_beats_random():
 
 def test_criterion_4_partial_monotonicity():
     rand = np.mean([acc(s, "random", 1) for s in BENCHMARK_SEEDS])
-    half = np.mean([acc(s, "partial", 1, fraction=0.5)
+    half = np.mean([acc(s, "partial", 1, fraction=STUDY_FRACTION)
                     for s in BENCHMARK_SEEDS])
     full = np.mean([acc(s, "cni", 1) for s in BENCHMARK_SEEDS])
     ok = (half - rand >= 0.02) and (full - half >= 0.02)
@@ -226,19 +187,21 @@ def test_criterion_4_partial_monotonicity():
 
 def test_criterion_5_anchor_direction():
     plain1 = np.mean([acc(s, "cni", 1) for s in BENCHMARK_SEEDS])
-    anch1 = np.mean([acc(s, "cni", 1, anchor=0.1) for s in BENCHMARK_SEEDS])
+    anch1 = np.mean([acc(s, "cni", 1, anchor_lambda=STUDY_ANCHOR)
+                     for s in BENCHMARK_SEEDS])
     # Five-shot half on the 50% partial head, where five labeled shots
     # outweigh the initialization (the premise), so the pull toward that
     # initialization must cost accuracy (the direction).
     untrained5 = np.mean([
-        run(s, "partial", 5, fraction=0.5)[1].records[0].test_top1
+        run(s, "partial", 5, fraction=STUDY_FRACTION)[1].records[0].test_top1
         for s in BENCHMARK_SEEDS])
-    plain5 = np.mean([acc(s, "partial", 5, fraction=0.5)
+    plain5 = np.mean([acc(s, "partial", 5, fraction=STUDY_FRACTION)
                       for s in BENCHMARK_SEEDS])
-    anch5 = np.mean([acc(s, "partial", 5, anchor=0.1, fraction=0.5)
+    anch5 = np.mean([acc(s, "partial", 5, anchor_lambda=STUDY_ANCHOR,
+                         fraction=STUDY_FRACTION)
                      for s in BENCHMARK_SEEDS])
     cni_plain5 = np.mean([acc(s, "cni", 5) for s in BENCHMARK_SEEDS])
-    cni_anch5 = np.mean([acc(s, "cni", 5, anchor=0.1)
+    cni_anch5 = np.mean([acc(s, "cni", 5, anchor_lambda=STUDY_ANCHOR)
                          for s in BENCHMARK_SEEDS])
     one_ok = anch1 >= plain1
     premise_ok = plain5 > untrained5
@@ -268,7 +231,7 @@ def test_criterion_6_distillation_gain():
 
 def test_criterion_7_freezing_contract():
     seed = BENCHMARK_SEEDS[0]
-    init0 = init_params(head_for(seed, "cni"))
+    init0, _ = run(seed, "cni", None, epochs=0)
     l_params, _ = run(seed, "cni", 5, policy="L")
     frozen_l = all(l_params.group(n).tobytes() == init0.group(n).tobytes()
                    for n in ("A", "a", "q"))

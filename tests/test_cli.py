@@ -238,13 +238,13 @@ def test_saved_run_reproduces_in_memory_predictions(bench_experiment, tmp_path,
                                                     monkeypatch, policy, shots):
     # training keeps float64 params in memory and saves float32; ALL trains
     # through the adapter's linearity while eval runs it explicitly
-    trained, real_train = [], cli.train
+    trained, real_fit = [], cli.fit
 
     def spy(*args):
-        trained.append(real_train(*args))
+        trained.append(real_fit(*args))
         return trained[-1]
 
-    monkeypatch.setattr(cli, "train", spy)
+    monkeypatch.setattr(cli, "fit", spy)
     run, ev = tmp_path / "run", tmp_path / "ev"
     assert main(["train", "--manifest", str(bench_experiment), "--policy", policy,
                  "--shots", str(shots), "--seed", "3", "--out", str(run)]) == 0
@@ -252,7 +252,7 @@ def test_saved_run_reproduces_in_memory_predictions(bench_experiment, tmp_path,
     assert main(["eval", "--manifest", str(bench_experiment), "--params", str(run),
                  "--out", str(ev)]) == 0
 
-    params, _ = trained[0]
+    _, params, _ = trained[0]
     _, test_ds, _ = load_experiment(bench_experiment)
     rows = prefix(params, test_ds.tokens, policy)
     in_memory = np.argmax(forward_from(params, rows, policy).logits, axis=1)
@@ -373,6 +373,14 @@ def test_sweep_config_takes_only_entries(data_dir, tmp_path, capsys):
         assert code == 2, entries
         assert "'entries' must be a non-empty list" in capsys.readouterr().err
 
+    for label in ("a,b", "x\ny", "x\r"):  # would break a sweep.csv row
+        write_json(cfg, {"entries": [{"label": label, "epochs": 1}]})
+        code = main(["sweep", "--manifest", str(data_dir / "manifest.json"),
+                     "--config", str(cfg), "--out", str(tmp_path / "s")])
+        assert code == 2, label
+        assert "must not contain a comma" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
 
 def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
     manifest = str(data_dir / "manifest.json")
@@ -401,6 +409,33 @@ def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
     assert main(["train", "--manifest", manifest, "--config", str(bad),
                  "--out", str(out)]) == 0
     assert '"epochs": 3,' in (out / "config.json").read_text()
+
+
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["train", "--anchor-lambda", "nan"], None, id="anchor_lambda"),
+    pytest.param(["train", "--lr", "inf"], None, id="lr"),
+    pytest.param(["train", "--min-lr", "nan"], None, id="min_lr"),
+    pytest.param(["train"], '{"train_fraction": -Infinity}', id="config"),
+    pytest.param(["distill", "--distill-weight", "nan"], None,
+                 id="distill_weight"),
+    pytest.param(["distill"], '{"temperature": Infinity}', id="temperature"),
+])
+def test_non_finite_float_setting_is_config_error(data_dir, tmp_path, capsys,
+                                                  argv, config):
+    manifest = str(data_dir / "manifest.json")
+    teacher = tmp_path / "teacher"
+    assert main(["train", "--manifest", manifest, "--epochs", "0",
+                 "--out", str(teacher)]) == 0
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    if argv[0] == "distill":
+        argv = argv + ["--teacher", str(teacher)]
+    out = tmp_path / "out"
+    code = main(argv + ["--manifest", manifest, "--out", str(out)] + FAST_TRAIN)
+    assert code == 2
+    assert "expected finite float" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_spec_fields_on_every_surface(data_dir, tmp_path):
@@ -548,6 +583,9 @@ def test_load_experiment_paths_resolve_against_manifest_dir(tmp_path,
     pytest.param("model", "[1, 2]", id="model_not_object"),
     pytest.param("model", '{"logit_scale": "abc"}', id="model_scale_string"),
     pytest.param("model", '{"logit_scale": -1}', id="model_scale_negative"),
+    pytest.param("model", '{"logit_scale": 1e400}', id="model_scale_infinite"),
+    pytest.param("model", '{"logit_scale": 1%s}' % ("0" * 400),
+                 id="model_scale_huge_int"),
 ])
 def test_malformed_input_is_data_error(data_dir, tmp_path, capsys, where, bad):
     manifest = data_dir / "manifest.json"
@@ -564,6 +602,38 @@ def test_malformed_input_is_data_error(data_dir, tmp_path, capsys, where, bad):
                  "--out", str(tmp_path / "ev")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# What the parent study scripts (compare_inits.py, anchor_study.py,
+# distill_study.py) printed for ``--seeds 1``.
+STUDY_SEED_1 = {
+    "inits": """\
+zero-shot reference: 0.9940 +/- 0.0000
+init                    1-shot            5-shot
+------------------------------------------------
+cni          0.9860 +/- 0.0000 0.9940 +/- 0.0000
+partial(0.5) 0.6800 +/- 0.0000 0.8960 +/- 0.0000
+random       0.4480 +/- 0.0000 0.9200 +/- 0.0000
+""",
+    "anchor": """\
+1-shot  plain    ['0.986'] mean 0.9860
+1-shot  anchored ['0.990'] mean 0.9900  delta +0.0040
+5-shot  plain    ['0.994'] mean 0.9940
+5-shot  anchored ['0.994'] mean 0.9940  delta +0.0000
+""",
+    "distill": """\
+seed 1: teacher 0.9960  plain 0.9780  distilled 0.9940
+means: teacher 0.9960  plain 0.9780  distilled 0.9940  (1/1 distillation wins)
+""",
+}
+
+
+@pytest.mark.parametrize("name", list(STUDY_SEED_1))
+def test_study_prints_the_benchmark_comparison(tmp_path, capsys, name):
+    out = tmp_path / "study"
+    assert main(["study", name, "--seeds", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == STUDY_SEED_1[name]
+    assert (out / "study.txt").read_text() == STUDY_SEED_1[name]
 
 
 def test_console_script_installed():

@@ -281,8 +281,11 @@ def test_labels_out_of_range_rejected(rng):
 def test_loss_config_validation():
     with pytest.raises(ConfigError):
         LossConfig(label_smoothing=1.0)
-    with pytest.raises(ConfigError):
-        LossConfig(anchor_lambda=-0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ConfigError):
+            LossConfig(anchor_lambda=bad)
+        with pytest.raises(ConfigError):
+            LossConfig(distill_weight=bad)
     with pytest.raises(ConfigError):
         LossConfig(distill_temperature=0.0)
 
@@ -465,9 +468,10 @@ def test_model_params_validation():
     with pytest.raises(ShapeMismatch):
         ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
                     W=np.zeros((2, 4)), b=np.zeros(2))
-    with pytest.raises(ConfigError):
-        ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
-                    W=np.zeros((2, 3)), b=np.zeros(2), logit_scale=0.0)
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
+                        W=np.zeros((2, 3)), b=np.zeros(2), logit_scale=scale)
 
 
 def test_params_copy_is_deep(rng):
