@@ -188,13 +188,13 @@ def _echo_config(out: Path, args, spec) -> None:
 
 def cmd_synth(args) -> int:
     spec = _resolve(args)
-    out = _out_dir(args)
     train_ds, test_ds, bank = make_synthetic(
         num_classes=spec.classes, dim=spec.dim, tokens_per_example=spec.tokens,
         train_per_class=spec.train_per_class,
         test_per_class=spec.test_per_class, num_prompts=spec.prompts,
         img_noise=spec.img_noise, txt_noise=spec.txt_noise, seed=spec.seed,
     )
+    out = _out_dir(args)
     write_tensor(out / "train_tokens.cnit", train_ds.tokens)
     write_tensor(out / "train_labels.cnit", train_ds.labels)
     write_tensor(out / "test_tokens.cnit", test_ds.tokens)

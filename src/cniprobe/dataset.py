@@ -113,24 +113,6 @@ def sample_k_shot(ds: EmbeddingDataset, spec: ShotSpec) -> list[int]:
     return out
 
 
-def _unit_rows(stream: Stream, count: int, dim: int, base: np.ndarray | None,
-               noise: float) -> np.ndarray:
-    """Rows = normalize(base + noise * gaussian); base copied when noise == 0."""
-    rows = np.empty((count, dim), dtype=np.float64)
-    for i in range(count):
-        if base is not None and noise == 0.0:
-            rows[i] = base
-            continue
-        while True:
-            v = stream.gaussians(dim) if base is None \
-                else base + noise * stream.gaussians(dim)
-            nrm = np.linalg.norm(v)
-            if nrm >= 1e-12:
-                rows[i] = v / nrm
-                break
-    return rows
-
-
 def make_synthetic(
     num_classes: int,
     dim: int,
@@ -156,39 +138,32 @@ def make_synthetic(
     if min(dim, tokens_per_example, train_per_class, test_per_class,
            num_prompts) < 1:
         raise ConfigError("all synthetic benchmark counts must be positive")
-    if img_noise < 0 or txt_noise < 0:
-        raise ConfigError("noise levels must be >= 0")
+    if not (0 <= img_noise < math.inf and 0 <= txt_noise < math.inf):
+        raise ConfigError("noise levels must be finite and >= 0")
 
-    proto_stream = Stream(substream_seed(seed, _SUB_PROTOTYPES))
-    prototypes = _unit_rows(proto_stream, num_classes, dim, base=None, noise=1.0)
+    prototypes = Stream(substream_seed(seed, _SUB_PROTOTYPES)).unit_rows(
+        num_classes, dim)
 
     def build_split(per_class: int, sub: int) -> EmbeddingDataset:
         stream = Stream(substream_seed(seed, sub))
-        m = num_classes * per_class
-        tokens = np.empty((m, tokens_per_example, dim), dtype=np.float64)
-        labels = np.empty(m, dtype=np.int64)
-        row = 0
+        tokens = np.empty((num_classes, per_class * tokens_per_example, dim))
         for c in range(num_classes):
-            for _ in range(per_class):
-                tokens[row] = _unit_rows(
-                    stream, tokens_per_example, dim, prototypes[c], img_noise
-                )
-                labels[row] = c
-                row += 1
-        return EmbeddingDataset(tokens=tokens, labels=labels,
-                                num_classes=num_classes)
+            tokens[c] = stream.unit_rows(per_class * tokens_per_example, dim,
+                                         prototypes[c], img_noise)
+        return EmbeddingDataset(
+            tokens=tokens.reshape(-1, tokens_per_example, dim),
+            labels=np.arange(num_classes, dtype=np.int64).repeat(per_class),
+            num_classes=num_classes)
 
     train = build_split(train_per_class, _SUB_TRAIN)
     test = build_split(test_per_class, _SUB_TEST)
 
-    text_stream = Stream(substream_seed(seed, _SUB_TEXT))
-    emb = np.empty((num_prompts, num_classes, dim), dtype=np.float64)
-    for n in range(num_prompts):
-        for c in range(num_classes):
-            emb[n, c] = _unit_rows(text_stream, 1, dim, prototypes[c], txt_noise)[0]
+    emb = Stream(substream_seed(seed, _SUB_TEXT)).unit_rows(
+        num_prompts * num_classes, dim, np.tile(prototypes, (num_prompts, 1)),
+        txt_noise)
 
     bank = TextEmbeddingBank(
-        embeddings=emb,
+        embeddings=emb.reshape(num_prompts, num_classes, dim),
         prompt_templates=[f"synthetic prompt {n}" for n in range(num_prompts)],
         class_names=[f"class_{c:02d}" for c in range(num_classes)],
     )

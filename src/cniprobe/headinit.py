@@ -100,14 +100,6 @@ def average_text_embeddings(bank: TextEmbeddingBank) -> np.ndarray:
     return mean / norms[:, None]
 
 
-def _random_unit_row(stream: Stream, dim: int) -> np.ndarray:
-    while True:
-        row = stream.gaussians(dim)
-        nrm = np.linalg.norm(row)
-        if nrm >= _NORM_EPS:
-            return row / nrm
-
-
 def init_head(
     spec: HeadInitSpec,
     avg: np.ndarray | None,
@@ -140,20 +132,16 @@ def init_head(
 
     stream = Stream(spec.seed)
     if spec.mode == MODE_RANDOM:
-        W = np.stack([_random_unit_row(stream, dim) for _ in range(num_classes)])
+        W = stream.unit_rows(num_classes, dim)
         return Head(W=W, b=b, init_provenance=["random"] * num_classes)
 
     # partial: seeded shuffle picks which classes keep their text rows
     order = stream.permutation(num_classes)
     n_text = int(np.floor(spec.fraction * num_classes))
     text_rows = set(order[:n_text])
-    W = np.empty((num_classes, dim), dtype=np.float64)
-    provenance = []
-    for c in range(num_classes):
-        if c in text_rows:
-            W[c] = avg[c]
-            provenance.append("text")
-        else:
-            W[c] = _random_unit_row(stream, dim)
-            provenance.append("random")
+    provenance = ["text" if c in text_rows else "random"
+                  for c in range(num_classes)]
+    random_rows = [c for c in range(num_classes) if c not in text_rows]
+    W = avg.copy()
+    W[random_rows] = stream.unit_rows(len(random_rows), dim)
     return Head(W=W, b=b, init_provenance=provenance)

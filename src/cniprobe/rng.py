@@ -11,6 +11,15 @@ implementations in other languages:
 * uniforms: top 53 bits mapped to (0, 1],
 * gaussians: Box-Muller on those uniforms, pairs cached.
 
+``gaussians(n)`` is the bulk path and returns the bytes of n calls of
+``gaussian()``, leaving the same spare and state. xorshift64* is linear
+over GF(2), so after the first ``_LANES`` states, which come from the
+scalar recurrence, every lane jumps ahead by M^_LANES at once through
+eight byte tables (M is the step as a 64x64 bit matrix). The multiply,
+shift, square root and products are exact in numpy; ``log``, ``cos``
+and ``sin`` stay on ``math`` (the C library), because numpy's SIMD
+float64 ``log`` does not round every input as ``math.log`` does.
+
 Substream k of seed s is the xorshift64* stream seeded with the k-th
 splitmix64 output of s; substream ids in use are listed next to the
 call sites (dataset generation, batch shuffling, unlabeled batches).
@@ -18,13 +27,34 @@ call sites (dataset generation, batch shuffling, unlabeled batches).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+from .errors import NumericalError
+
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
+_LANES = 1024
+
+
+def _step(x):
+    """One xorshift step of an int, or in place of a uint64 array."""
+    x ^= x >> 12
+    x ^= (x << 25) & _MASK64
+    return x ^ (x >> 27)
+
+
+@functools.cache
+def _jump_tables() -> np.ndarray:
+    """(8, 256) tables: entry [b, v] is M^_LANES (v << 8b); built on use."""
+    byte_shifts = np.arange(0, 64, 8, dtype=np.uint64)[:, None]
+    t = np.arange(256, dtype=np.uint64) << byte_shifts
+    for _ in range(_LANES):  # M is linear, so stepping each entry applies it
+        t = _step(t)
+    return t
 
 
 def splitmix64_at(seed: int, k: int) -> int:
@@ -52,11 +82,7 @@ class Stream:
         self._spare_gaussian: float | None = None
 
     def next_u64(self) -> int:
-        x = self._state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & _MASK64
-        x ^= x >> 27
-        self._state = x
+        self._state = x = _step(self._state)
         return (x * _XORSHIFT_MULT) & _MASK64
 
     def next_below(self, n: int) -> int:
@@ -85,13 +111,63 @@ class Stream:
         self._spare_gaussian = r * math.sin(theta)
         return r * math.cos(theta)
 
+    def _uniforms(self, m: int) -> np.ndarray:
+        """m calls of ``uniform()`` as an array; see the module docstring."""
+        x, head = self._state, []
+        for _ in range(min(m, _LANES)):
+            x = _step(x)
+            head.append(x)
+        rows = [np.array(head, dtype=np.uint64)]
+        for _ in range(-(-m // _LANES) - 1):
+            octets = rows[-1].astype("<u8").view(np.uint8).reshape(-1, 8)
+            rows.append(np.bitwise_xor.reduce(
+                _jump_tables()[np.arange(8), octets], axis=1))
+        states = np.concatenate(rows)[:m]
+        if m:
+            self._state = int(states[-1])
+        out = states * np.uint64(_XORSHIFT_MULT)
+        return ((out >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+
     def gaussians(self, n: int) -> np.ndarray:
-        return np.array([self.gaussian() for _ in range(n)], dtype=np.float64)
+        """n calls of ``gaussian()`` in bulk, bit for bit."""
+        out = np.empty(n, dtype=np.float64)
+        start = 0
+        if n and self._spare_gaussian is not None:
+            out[0], self._spare_gaussian = self._spare_gaussian, None
+            start = 1
+        u = self._uniforms(2 * ((n - start + 1) // 2))
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float))
+        theta = (2.0 * math.pi * u[1::2]).tolist()
+        z = np.empty(len(u), dtype=np.float64)
+        z[0::2] = r * np.fromiter(map(math.cos, theta), float)
+        z[1::2] = r * np.fromiter(map(math.sin, theta), float)
+        out[start:] = z[:n - start]
+        if (n - start) % 2:
+            self._spare_gaussian = float(z[-1])
+        return out
+
+    def unit_rows(self, count: int, dim: int, base: np.ndarray | None = None,
+                  noise: float = 1.0) -> np.ndarray:
+        """(count, dim) rows normalize(base + noise * gaussians(dim)) in order.
+
+        ``base`` (dim,) or (count, dim) is copied, with no draw, at noise 0.
+        The stacked ``matmul`` (a dot per row) keeps ``np.linalg.norm``'s bits.
+        """
+        if base is not None and noise == 0.0:
+            return np.broadcast_to(base, (count, dim)).copy()
+        v = self.gaussians(count * dim).reshape(count, dim)
+        if base is not None:
+            v = base + noise * v
+        norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        if np.any(norms < 1e-12):
+            raise NumericalError("a gaussian row has norm below 1e-12")
+        return v / norms[:, None]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates: i runs from len-1 down to 1, j = draw(i+1).
 
-        ``next_below`` and ``next_u64`` are inlined: same draws and state.
+        ``next_below`` and ``next_u64`` are inlined (keep ``_step`` in sync):
+        same draws and state.
         """
         x, mask, mult = self._state, _MASK64, _XORSHIFT_MULT
         top = (1 << 64) - len(items)  # below every bound's rejection limit

@@ -286,6 +286,14 @@ def test_unreadable_manifest_leaves_no_out(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_synth_leaves_no_out(tmp_path, capsys):
+    # the noise overflows the tokens; today that is exit 3 (bad data)
+    out = tmp_path / "out"
+    assert main(["synth", "--img-noise", "1e308", "--out", str(out)]) != 0
+    assert not out.exists()
+
+
 def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path):
     out = tmp_path / "e"
     assert main(["eval", "--manifest", str(data_dir / "manifest.json"),

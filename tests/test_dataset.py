@@ -5,10 +5,13 @@ walk of the pinned PRNG (per-class ascending index lists, one shared
 Fisher-Yates stream, classes visited in ascending order).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cniprobe.benchmark import make_benchmark
 from cniprobe.dataset import (
     EmbeddingDataset,
     ShotSpec,
@@ -219,8 +222,30 @@ def test_synthetic_validation():
               seed=0)
     with pytest.raises(ConfigError):
         make_synthetic(num_classes=1, **kw)
-    with pytest.raises(ConfigError):
-        make_synthetic(num_classes=2, **{**kw, "img_noise": -0.1})
+    for noise in ("img_noise", "txt_noise"):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                make_synthetic(num_classes=2, **{**kw, noise: bad})
     with pytest.raises(ConfigError):
         make_synthetic(num_classes=2, **{**kw, "tokens_per_example": 0})
 
+
+# sha256 of make_benchmark(seed): train tokens and labels, test tokens and
+# labels, then the bank, each little-endian
+PINNED_BENCHMARK_SHA256 = {
+    1: "f7154c6bbefcc4afbfdfcdf63acb4d0156708669750ac9ea165e54dccabbf7f8",
+    2: "8c0ab2a407c62e8ea40bb269f8236cebd423e8068a7be5457d7938a496143729",
+    3: "bfd0a64f2931f4a5cd713991467e9bac68d71705d7b39d659ec68399a64a49d1",
+    4: "d07098a6b31c16e4fe1e8ad5071e2f8e70a9fc61a72db6bea4b6027bdc5aa636",
+    5: "eb4a53e3aa1014b1a6ba35d0a03a43dbc5d2eafccf75969c851cecaca2a3ec56",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_BENCHMARK_SHA256))
+def test_make_benchmark_bytes_are_pinned(seed):
+    train, test, bank = make_benchmark(seed)
+    h = hashlib.sha256()
+    for a in (train.tokens, train.labels, test.tokens, test.labels,
+              bank.embeddings):
+        h.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+    assert h.hexdigest() == PINNED_BENCHMARK_SHA256[seed]

@@ -166,6 +166,19 @@ def test_gaussian_spare_survives_odd_draws():
     np.testing.assert_array_equal(b.gaussians(6), singles)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 1023, 1024, 1025, 2055, 3073])
+def test_bulk_gaussians_are_the_scalar_draws(n):
+    # the bulk path jumps lanes of 1024 states ahead; these n straddle that
+    bulk, scalar = Stream(n + 11), Stream(n + 11)
+    for lead in (0, 1, 0, 1):  # an odd scalar draw leaves a spare behind
+        for _ in range(lead):
+            assert bulk.gaussian() == scalar.gaussian()
+        ref = np.array([scalar.gaussian() for _ in range(n)], dtype=np.float64)
+        assert bulk.gaussians(n).tobytes() == ref.tobytes()
+    assert bulk.gaussian() == scalar.gaussian()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
 def test_gaussian_moments_roughly_standard():
     draws = Stream(2024).gaussians(20000)
     assert abs(draws.mean()) < 0.05
