@@ -1,7 +1,7 @@
 """Few-shot adaptation of frozen embedding models with text-initialized heads."""
 
 from .benchmark import BENCHMARK_SEEDS, default_lr, make_benchmark
-from .dataset import EmbeddingDataset, ShotSpec, make_synthetic, sample_k_shot
+from .dataset import EmbeddingDataset, ShotSpec, SynthSpec, make_synthetic, sample_k_shot
 from .distill import distill_train, teacher_predict
 from .errors import CniProbeError, ConfigError, DataError, NumericalError
 from .evaluate import EvalReport, top1, zero_shot
@@ -46,6 +46,7 @@ __all__ = [
     "Stream",
     "SweepEntry",
     "SweepRow",
+    "SynthSpec",
     "TextEmbeddingBank",
     "TrainConfig",
     "adafactor_step",

@@ -1,7 +1,7 @@
 """The repo-pinned synthetic benchmark and its default run settings.
 
-Every directional claim in the test suite is measured on this
-configuration: 10 classes in a 32-dimensional embedding space, 4
+Every directional claim in the test suite is measured on the defaults
+of ``SynthSpec``: 10 classes in a 32-dimensional embedding space, 4
 tokens per image, image noise 0.35, text noise 0.15, 8 prompts, 50
 train and 50 test examples per class, over five fixed seeds.
 
@@ -21,22 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import EmbeddingDataset, ShotSpec, make_synthetic
+from .dataset import EmbeddingDataset, ShotSpec, SynthSpec, make_synthetic
 from .distill import distill_train
 from .evaluate import zero_shot
 from .headinit import (MODE_CNI, MODE_PARTIAL, MODE_RANDOM, Head, HeadInitSpec,
                        TextEmbeddingBank, average_text_embeddings, init_head)
 from .model import LossConfig, ModelParams, init_params
 from .train import MetricHistory, TrainConfig, train
-
-BENCH_CLASSES = 10
-BENCH_DIM = 32
-BENCH_TOKENS = 4
-BENCH_IMG_NOISE = 0.35
-BENCH_TXT_NOISE = 0.15
-BENCH_PROMPTS = 8
-BENCH_TRAIN_PER_CLASS = 50
-BENCH_TEST_PER_CLASS = 50
 
 BENCHMARK_SEEDS = (1, 2, 3, 4, 5)
 
@@ -59,17 +50,7 @@ _MODE_LR = {MODE_CNI: CNI_LR, MODE_RANDOM: RANDOM_LR, MODE_PARTIAL: CNI_LR}
 
 def make_benchmark(seed: int) -> tuple[EmbeddingDataset, EmbeddingDataset, TextEmbeddingBank]:
     """Train split, test split, and text bank for one benchmark seed."""
-    return make_synthetic(
-        num_classes=BENCH_CLASSES,
-        dim=BENCH_DIM,
-        tokens_per_example=BENCH_TOKENS,
-        train_per_class=BENCH_TRAIN_PER_CLASS,
-        test_per_class=BENCH_TEST_PER_CLASS,
-        num_prompts=BENCH_PROMPTS,
-        img_noise=BENCH_IMG_NOISE,
-        txt_noise=BENCH_TXT_NOISE,
-        seed=seed,
-    )
+    return make_synthetic(SynthSpec(seed=seed))
 
 
 def default_lr(init_mode: str) -> float:

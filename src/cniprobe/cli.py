@@ -30,7 +30,8 @@ import numpy as np
 
 from . import benchmark
 from .benchmark import DistillSpec, RunSpec, fit
-from .dataset import EmbeddingDataset, ShotSpec, make_synthetic, sample_k_shot
+from .dataset import (EmbeddingDataset, ShotSpec, SynthSpec, make_synthetic,
+                      sample_k_shot)
 from .errors import (
     CniProbeError,
     ConfigError,
@@ -50,26 +51,11 @@ from .headinit import (
     average_text_embeddings,
     init_head,
 )
-from .model import ModelParams, init_params
+from .model import LOGIT_SCALE, ModelParams, init_params
 from .tensorio import read_tensor, write_json, write_tensor
 from .train import SweepEntry, sweep
 
 _PARAM_NAMES = ("A", "a", "q", "W", "b")
-
-
-@dataclass
-class SynthSpec:
-    """Generator settings for ``synth``; defaults are the benchmark's."""
-
-    classes: int = benchmark.BENCH_CLASSES
-    dim: int = benchmark.BENCH_DIM
-    tokens: int = benchmark.BENCH_TOKENS
-    train_per_class: int = benchmark.BENCH_TRAIN_PER_CLASS
-    test_per_class: int = benchmark.BENCH_TEST_PER_CLASS
-    prompts: int = benchmark.BENCH_PROMPTS
-    img_noise: float = benchmark.BENCH_IMG_NOISE
-    txt_noise: float = benchmark.BENCH_TXT_NOISE
-    seed: int = 1
 
 
 @dataclass
@@ -188,12 +174,7 @@ def _echo_config(out: Path, args, spec) -> None:
 
 def cmd_synth(args) -> int:
     spec = _resolve(args)
-    train_ds, test_ds, bank = make_synthetic(
-        num_classes=spec.classes, dim=spec.dim, tokens_per_example=spec.tokens,
-        train_per_class=spec.train_per_class,
-        test_per_class=spec.test_per_class, num_prompts=spec.prompts,
-        img_noise=spec.img_noise, txt_noise=spec.txt_noise, seed=spec.seed,
-    )
+    train_ds, test_ds, bank = make_synthetic(spec)
     out = _out_dir(args)
     write_tensor(out / "train_tokens.cnit", train_ds.tokens)
     write_tensor(out / "train_labels.cnit", train_ds.labels)
@@ -315,14 +296,12 @@ def _read_params(path: str | Path) -> ModelParams:
     if (d / "params_W.cnit").exists():
         arrays = {n: read_tensor(d / f"params_{n}.cnit").astype(np.float64)
                   for n in _PARAM_NAMES}
-        scale = 10.0
         model_doc = d / "model.json"
-        if model_doc.exists():
-            scale = _read_json(model_doc, ParseError).get("logit_scale", 10.0)
-            if (type(scale) not in (int, float)
-                    or not 0 < scale <= sys.float_info.max):
-                raise ParseError(f"{model_doc}: logit_scale must be a "
-                                 "positive finite number")
+        doc = _read_json(model_doc, ParseError) if model_doc.exists() else {}
+        scale = doc.get("logit_scale", LOGIT_SCALE)
+        if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
+            raise ParseError(f"{model_doc}: logit_scale must be a "
+                             "positive finite number")
         return ModelParams(logit_scale=float(scale), **arrays)
     if (d / "head_W.cnit").exists():
         W = read_tensor(d / "head_W.cnit").astype(np.float64)

@@ -113,59 +113,71 @@ def sample_k_shot(ds: EmbeddingDataset, spec: ShotSpec) -> list[int]:
     return out
 
 
-def make_synthetic(
-    num_classes: int,
-    dim: int,
-    tokens_per_example: int,
-    train_per_class: int,
-    test_per_class: int,
-    num_prompts: int,
-    img_noise: float,
-    txt_noise: float,
-    seed: int,
-) -> tuple[EmbeddingDataset, EmbeddingDataset, TextEmbeddingBank]:
+@dataclass(frozen=True)
+class SynthSpec:
+    """Synthetic generator settings; the defaults are the pinned benchmark's.
+
+    ``synth``'s flags, its config keys and the manifest's ``generator``
+    echo have exactly these fields.
+    """
+
+    classes: int = 10
+    dim: int = 32
+    tokens: int = 4
+    train_per_class: int = 50
+    test_per_class: int = 50
+    prompts: int = 8
+    img_noise: float = 0.35
+    txt_noise: float = 0.15
+    seed: int = 1
+
+    def __post_init__(self):
+        if self.classes < 2:
+            raise ConfigError("classes must be >= 2")
+        if min(self.dim, self.tokens, self.train_per_class,
+               self.test_per_class, self.prompts) < 1:
+            raise ConfigError("all synthetic benchmark counts must be positive")
+        if not (0 <= self.img_noise < math.inf
+                and 0 <= self.txt_noise < math.inf):
+            raise ConfigError("noise levels must be finite and >= 0")
+
+
+def make_synthetic(spec: SynthSpec
+                   ) -> tuple[EmbeddingDataset, EmbeddingDataset, TextEmbeddingBank]:
     """Generate aligned synthetic image tokens and text embeddings.
 
     Class prototypes are drawn uniformly on the unit sphere in R^dim.
     Every image token is normalize(prototype + N(0, img_noise^2 I)) and
     every text embedding is normalize(prototype + N(0, txt_noise^2 I)).
     Examples are laid out class-major (all of class 0 first). Four
-    independent substreams of ``seed`` are consumed: 0 prototypes,
+    independent substreams of ``spec.seed`` are consumed: 0 prototypes,
     1 train tokens, 2 test tokens, 3 text embeddings.
     """
-    if num_classes < 2:
-        raise ConfigError("num_classes must be >= 2")
-    if min(dim, tokens_per_example, train_per_class, test_per_class,
-           num_prompts) < 1:
-        raise ConfigError("all synthetic benchmark counts must be positive")
-    if not (0 <= img_noise < math.inf and 0 <= txt_noise < math.inf):
-        raise ConfigError("noise levels must be finite and >= 0")
-
+    num_classes, dim, t, seed = spec.classes, spec.dim, spec.tokens, spec.seed
     prototypes = Stream(substream_seed(seed, _SUB_PROTOTYPES)).unit_rows(
         num_classes, dim)
 
     def build_split(per_class: int, sub: int) -> EmbeddingDataset:
         stream = Stream(substream_seed(seed, sub))
-        tokens = np.empty((num_classes, per_class * tokens_per_example, dim))
+        tokens = np.empty((num_classes, per_class * t, dim))
         for c in range(num_classes):
-            tokens[c] = stream.unit_rows(per_class * tokens_per_example, dim,
-                                         prototypes[c], img_noise)
+            tokens[c] = stream.unit_rows(per_class * t, dim, prototypes[c],
+                                         spec.img_noise)
         return EmbeddingDataset(
-            tokens=tokens.reshape(-1, tokens_per_example, dim),
+            tokens=tokens.reshape(-1, t, dim),
             labels=np.arange(num_classes, dtype=np.int64).repeat(per_class),
             num_classes=num_classes)
 
-    train = build_split(train_per_class, _SUB_TRAIN)
-    test = build_split(test_per_class, _SUB_TEST)
+    train = build_split(spec.train_per_class, _SUB_TRAIN)
+    test = build_split(spec.test_per_class, _SUB_TEST)
 
     emb = Stream(substream_seed(seed, _SUB_TEXT)).unit_rows(
-        num_prompts * num_classes, dim, np.tile(prototypes, (num_prompts, 1)),
-        txt_noise)
+        spec.prompts * num_classes, dim, np.tile(prototypes, (spec.prompts, 1)),
+        spec.txt_noise)
 
     bank = TextEmbeddingBank(
-        embeddings=emb.reshape(num_prompts, num_classes, dim),
-        prompt_templates=[f"synthetic prompt {n}" for n in range(num_prompts)],
+        embeddings=emb.reshape(spec.prompts, num_classes, dim),
+        prompt_templates=[f"synthetic prompt {n}" for n in range(spec.prompts)],
         class_names=[f"class_{c:02d}" for c in range(num_classes)],
     )
     return train, test, bank
-

@@ -50,6 +50,7 @@ TRAINABLE = {
 }
 
 _POOL_EPS = 1e-12
+LOGIT_SCALE = 10.0  # the default fixed logit scale
 
 
 def trainable_names(policy: str) -> tuple[str, ...]:
@@ -67,7 +68,7 @@ class ModelParams:
     q: np.ndarray  # (D,)   pooler query
     W: np.ndarray  # (C, D) head weight
     b: np.ndarray  # (C,)   head bias
-    logit_scale: float = 10.0
+    logit_scale: float = LOGIT_SCALE
 
     def __post_init__(self):
         for name in TRAINABLE[POLICY_ALL]:
@@ -101,7 +102,7 @@ class ModelParams:
         return {name: getattr(self, name) for name in trainable_names(policy)}
 
 
-def init_params(head: Head, logit_scale: float = 10.0) -> ModelParams:
+def init_params(head: Head, logit_scale: float = LOGIT_SCALE) -> ModelParams:
     """Identity adapter, zero query and the given head.
 
     All freezing policies therefore start from the same zero-shot
@@ -263,26 +264,30 @@ def _kl_rows(teacher_tau: np.ndarray, student_probs_tau: np.ndarray) -> np.ndarr
     return terms.sum(axis=1)
 
 
+def _check_rows(cache: ForwardCache, *rows: np.ndarray | None) -> None:
+    if any(t is not None and t.shape != cache.probs.shape for t in rows):
+        raise ShapeMismatch("target rows must match the batch's (B, C) logits")
+
+
 def loss_total(
     cache: ForwardCache,
-    labels: np.ndarray | None,
+    targets: np.ndarray | None,
     p: ModelParams,
     anchor: dict[str, np.ndarray] | None,
     cfg: LossConfig,
-    teacher_probs: np.ndarray | None = None,
+    teacher: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float]]:
     """Total loss and per-term breakdown for one batch.
 
-    Terms: label-smoothed cross-entropy (skipped when labels is None),
+    ``targets`` and ``teacher`` are the rows ``backward`` takes. Terms:
+    label-smoothed cross-entropy (skipped when targets is None),
     anchored L2 over the parameter groups present in ``anchor``, and
     temperature-matched KL(teacher || student) averaged over the batch.
     """
-    num_classes = p.num_classes
+    _check_rows(cache, targets, teacher)
     ce = 0.0
-    if labels is not None:
-        targets = smoothed_targets(labels, num_classes, cfg.label_smoothing)
-        logp = _log_softmax_rows(cache.logits)
-        ce = float(-(targets * logp).sum(axis=1).mean())
+    if targets is not None:
+        ce = float(-(targets * _log_softmax_rows(cache.logits)).sum(axis=1).mean())
 
     anchor_term = 0.0
     if anchor is not None and cfg.anchor_lambda > 0.0:
@@ -293,13 +298,10 @@ def loss_total(
         anchor_term = cfg.anchor_lambda * sq
 
     distill = 0.0
-    if teacher_probs is not None and cfg.distill_weight > 0.0:
+    if teacher is not None and cfg.distill_weight > 0.0:
         tau = cfg.distill_temperature
-        teacher_tau = teacher_targets(teacher_probs, num_classes, tau)
         student_tau = _softmax_rows(cache.logits / tau) if tau != 1.0 else cache.probs
-        distill = cfg.distill_weight * float(
-            _kl_rows(teacher_tau, student_tau).mean()
-        )
+        distill = cfg.distill_weight * float(_kl_rows(teacher, student_tau).mean())
 
     total = ce + anchor_term + distill
     return total, {"ce": ce, "anchor": anchor_term, "distill": distill}
@@ -325,8 +327,7 @@ def backward(
     rows = np.asarray(rows, dtype=np.float64)
     cache = forward_from(p, rows, policy)
     batch, num_classes = cache.probs.shape
-    if any(t is not None and t.shape != cache.probs.shape for t in (targets, teacher)):
-        raise ShapeMismatch("target rows must match the batch's (B, C) logits")
+    _check_rows(cache, targets, teacher)
 
     # d(loss)/d(logits), all terms combined
     g_logits = (np.zeros((batch, num_classes)) if targets is None

@@ -152,15 +152,17 @@ class Stream:
 
         ``base`` (dim,) or (count, dim) is copied, with no draw, at noise 0.
         The stacked ``matmul`` (a dot per row) keeps ``np.linalg.norm``'s bits.
+        A norm below 1e-12 or one that overflows raises NumericalError.
         """
         if base is not None and noise == 0.0:
             return np.broadcast_to(base, (count, dim)).copy()
         v = self.gaussians(count * dim).reshape(count, dim)
-        if base is not None:
-            v = base + noise * v
-        norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-        if np.any(norms < 1e-12):
-            raise NumericalError("a gaussian row has norm below 1e-12")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if base is not None:
+                v = base + noise * v
+            norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+        if not np.all((norms >= 1e-12) & (norms < np.inf)):
+            raise NumericalError("a gaussian row's norm is < 1e-12 or not finite")
         return v / norms[:, None]
 
     def shuffle(self, items: list) -> None:

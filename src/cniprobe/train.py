@@ -151,11 +151,10 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
     def evaluate(epoch: int, step: int, lr: float) -> MetricRecord:
         """The history row; non-finite parameters or losses raise."""
         cache = forward_from(params, rows, policy)
-        _, parts = loss_total(cache, data.labels, params, anchor, loss_cfg)
+        _, parts = loss_total(cache, targets, params, anchor, loss_cfg)
         if pool is not None:
             _, pool_parts = loss_total(forward_from(params, pool_rows, policy),
-                                       None, params, None, loss_cfg,
-                                       teacher_probs=pool[1])
+                                       None, params, None, loss_cfg, pool_teacher)
             parts["distill"] = pool_parts["distill"]
         if not (all(map(math.isfinite, parts.values()))
                 and all(np.isfinite(g).all() for g in trainable.values())):

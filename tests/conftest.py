@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cniprobe.dataset import make_synthetic
+from cniprobe.dataset import SynthSpec, make_synthetic
 from cniprobe.headinit import HeadInitSpec, MODE_CNI, average_text_embeddings, init_head
 from cniprobe.model import init_params
 
@@ -13,12 +13,10 @@ from cniprobe.model import init_params
 @pytest.fixture(scope="session")
 def tiny_problem():
     """C=3, D=8, T=2 synthetic splits plus bank; shared, treat as read-only."""
-    train, test, bank = make_synthetic(
-        num_classes=3, dim=8, tokens_per_example=2, train_per_class=6,
-        test_per_class=6, num_prompts=3, img_noise=0.3, txt_noise=0.1,
-        seed=11,
-    )
-    return train, test, bank
+    return make_synthetic(SynthSpec(classes=3, dim=8, tokens=2,
+                                    train_per_class=6, test_per_class=6,
+                                    prompts=3, img_noise=0.3, txt_noise=0.1,
+                                    seed=11))
 
 
 @pytest.fixture()

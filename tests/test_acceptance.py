@@ -122,16 +122,16 @@ def test_criterion_2_gradient_correctness():
         anchor = {n: params.group(n) + 0.1 * rng.normal(size=params.group(n).shape)
                   for n in trainable_names(policy)}
 
+        targets = smoothed_targets(labels, c, cfg.label_smoothing)
+        teacher_tau = teacher_targets(teacher, c, cfg.distill_temperature)
+
         def total_loss():
-            cache = forward(params, tokens)
-            val, _ = loss_total(cache, labels, params, anchor, cfg,
-                                teacher_probs=teacher)
+            val, _ = loss_total(forward(params, tokens), targets, params,
+                                anchor, cfg, teacher_tau)
             return val
 
-        analytic = backward(
-            params, prefix(params, tokens, policy),
-            smoothed_targets(labels, c, cfg.label_smoothing), anchor, cfg,
-            policy, teacher=teacher_targets(teacher, c, cfg.distill_temperature))
+        analytic = backward(params, prefix(params, tokens, policy), targets,
+                            anchor, cfg, policy, teacher=teacher_tau)
         rel_max = 0.0
         for name in trainable_names(policy):
             arr = params.group(name)

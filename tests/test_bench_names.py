@@ -1,4 +1,5 @@
-"""The library names the benchmark in ``bench/`` imports and hooks exist.
+"""The library names the benchmark in ``bench/`` imports and hooks exist,
+and the command lines it passes to the CLI parse.
 
 The tracer only prints a warning for a hook target it cannot find, and
 that layer's metrics then read zero; the benchmark's own smoke tests
@@ -9,6 +10,8 @@ benchmark's modules from their files and change nothing in ``bench/``.
 import importlib.util
 import sys
 from pathlib import Path
+
+from cniprobe.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -27,6 +30,18 @@ def test_workloads_import_and_set_up():
     grid.setup(17)
     assert len(grid.entries) == 12
     workloads.make("teacher_distill", scratch=None).setup(17)
+
+
+def test_cli_pipeline_commands_parse(tmp_path):
+    # a renamed synth/train/eval flag makes argparse exit here
+    pipeline = _load("workloads").make("cli_pipeline", scratch=tmp_path)
+    pipeline.setup(17)
+    parser = build_parser()
+    commands = pipeline.commands(tmp_path)
+    assert [argv[0] for argv in commands] == [
+        "synth", "init-head", "sample-shots", "train", "eval", "eval"]
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_every_hook_target_resolves():

@@ -4,15 +4,16 @@ import json
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cniprobe import cli, tensorio
-from cniprobe.benchmark import RunSpec
+from cniprobe.benchmark import RunSpec, make_benchmark
 from cniprobe.cli import build_parser, load_experiment, main
+from cniprobe.dataset import SynthSpec
 from cniprobe.errors import LabelOutOfRange, ParseError, ShapeMismatch
 from cniprobe.evaluate import predictions
 from cniprobe.model import forward_from, prefix
@@ -232,6 +233,20 @@ def bench_experiment(tmp_path_factory):
     return out / "manifest.json"
 
 
+def test_synth_defaults_are_the_benchmark(bench_experiment):
+    doc = json.loads(bench_experiment.read_text())
+    assert doc["generator"] == asdict(SynthSpec(seed=3))
+    train, test, bank = make_benchmark(3)
+    base = bench_experiment.parent
+    for name, arr in (("train_tokens", train.tokens),
+                      ("train_labels", train.labels),
+                      ("test_tokens", test.tokens), ("test_labels", test.labels),
+                      ("bank", bank.embeddings)):
+        saved = read_tensor(base / f"{name}.cnit")
+        assert saved.tobytes() == arr.astype(np.float32).tobytes(), name
+        assert saved.shape == arr.shape, name
+
+
 @pytest.mark.parametrize("shots", [1, 5])
 @pytest.mark.parametrize("policy", ["L", "PL", "ALL"])
 def test_saved_run_reproduces_in_memory_predictions(bench_experiment, tmp_path,
@@ -286,11 +301,15 @@ def test_unreadable_manifest_leaves_no_out(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_failed_synth_leaves_no_out(tmp_path, capsys):
-    # the noise overflows the tokens; today that is exit 3 (bad data)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("flag,noise", [
+    ("--txt-noise", "1e200"), ("--img-noise", "1e160"), ("--img-noise", "1e308"),
+], ids=["txt_noise_1e200", "img_noise_1e160", "img_noise_1e308"])
+def test_failed_synth_leaves_no_out(tmp_path, capsys, flag, noise):
+    # a finite noise whose rows' norms overflow is a numerical error
     out = tmp_path / "out"
-    assert main(["synth", "--img-noise", "1e308", "--out", str(out)]) != 0
+    assert main(["synth", flag, noise, "--out", str(out)]) == 4
+    assert "not finite" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ Fisher-Yates stream, classes visited in ascending order).
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cniprobe.benchmark import make_benchmark
 from cniprobe.dataset import (
     EmbeddingDataset,
     ShotSpec,
+    SynthSpec,
     make_synthetic,
     sample_k_shot,
 )
@@ -128,11 +130,9 @@ def test_subset_copies_rows():
 
 
 def test_load_embedding_dataset_roundtrip(tmp_path):
-    train, _, bank = make_synthetic(
-        num_classes=2, dim=4, tokens_per_example=2, train_per_class=3,
-        test_per_class=1, num_prompts=1, img_noise=0.2, txt_noise=0.1,
-        seed=9,
-    )
+    train, _, bank = make_synthetic(SynthSpec(
+        classes=2, dim=4, tokens=2, train_per_class=3, test_per_class=1,
+        prompts=1, img_noise=0.2, txt_noise=0.1, seed=9))
     write_tensor(tmp_path / "tok.cnit", train.tokens)
     write_tensor(tmp_path / "lab.cnit", train.labels)
     write_tensor(tmp_path / "bank.cnit", bank.embeddings)
@@ -150,11 +150,9 @@ def test_load_embedding_dataset_roundtrip(tmp_path):
 # --- synthetic generator -----------------------------------------------------
 
 def test_synthetic_shapes_layout_and_unit_norms():
-    train, test, bank = make_synthetic(
-        num_classes=4, dim=16, tokens_per_example=3, train_per_class=5,
-        test_per_class=2, num_prompts=6, img_noise=0.35, txt_noise=0.15,
-        seed=0,
-    )
+    train, test, bank = make_synthetic(SynthSpec(
+        classes=4, dim=16, tokens=3, train_per_class=5, test_per_class=2,
+        prompts=6, seed=0))
     assert train.tokens.shape == (20, 3, 16)
     assert test.tokens.shape == (8, 3, 16)
     assert bank.embeddings.shape == (6, 4, 16)
@@ -169,24 +167,23 @@ def test_synthetic_shapes_layout_and_unit_norms():
 
 
 def test_synthetic_deterministic():
-    kw = dict(num_classes=3, dim=8, tokens_per_example=2, train_per_class=4,
-              test_per_class=4, num_prompts=2, img_noise=0.3, txt_noise=0.1)
-    a = make_synthetic(seed=5, **kw)
-    b = make_synthetic(seed=5, **kw)
+    spec = SynthSpec(classes=3, dim=8, tokens=2, train_per_class=4,
+                     test_per_class=4, prompts=2, img_noise=0.3, txt_noise=0.1,
+                     seed=5)
+    a = make_synthetic(spec)
+    b = make_synthetic(spec)
     for x, y in zip(a, b):
         arr_x = x.tokens if hasattr(x, "tokens") else x.embeddings
         arr_y = y.tokens if hasattr(y, "tokens") else y.embeddings
         assert arr_x.tobytes() == arr_y.tobytes()
-    c = make_synthetic(seed=6, **kw)
+    c = make_synthetic(replace(spec, seed=6))
     assert a[0].tokens.tobytes() != c[0].tokens.tobytes()
 
 
 def test_zero_noise_collapses_to_prototypes():
-    train, test, bank = make_synthetic(
-        num_classes=3, dim=8, tokens_per_example=2, train_per_class=2,
-        test_per_class=2, num_prompts=4, img_noise=0.0, txt_noise=0.0,
-        seed=2,
-    )
+    train, test, bank = make_synthetic(SynthSpec(
+        classes=3, dim=8, tokens=2, train_per_class=2, test_per_class=2,
+        prompts=4, img_noise=0.0, txt_noise=0.0, seed=2))
     # every text embedding equals the class prototype exactly
     for n in range(4):
         np.testing.assert_array_equal(bank.embeddings[n], bank.embeddings[0])
@@ -201,11 +198,9 @@ def test_tokens_cluster_around_own_prototype():
     # per-coordinate noise grows with sqrt(D), so raw own-class cosine sits
     # well below 1; the class signal is own >> other and a clean argmax
     for seed in (1, 2, 3, 4, 5):
-        train, _, bank = make_synthetic(
-            num_classes=3, dim=16, tokens_per_example=2, train_per_class=10,
-            test_per_class=2, num_prompts=1, img_noise=0.3, txt_noise=0.0,
-            seed=seed,
-        )
+        train, _, bank = make_synthetic(SynthSpec(
+            classes=3, dim=16, tokens=2, train_per_class=10, test_per_class=2,
+            prompts=1, img_noise=0.3, txt_noise=0.0, seed=seed))
         protos = bank.embeddings[0]  # txt_noise=0 -> exact prototypes
         means = train.tokens.mean(axis=1)
         means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -217,17 +212,14 @@ def test_tokens_cluster_around_own_prototype():
 
 
 def test_synthetic_validation():
-    kw = dict(dim=4, tokens_per_example=1, train_per_class=1,
-              test_per_class=1, num_prompts=1, img_noise=0.1, txt_noise=0.1,
-              seed=0)
     with pytest.raises(ConfigError):
-        make_synthetic(num_classes=1, **kw)
+        SynthSpec(classes=1)
     for noise in ("img_noise", "txt_noise"):
         for bad in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
-                make_synthetic(num_classes=2, **{**kw, noise: bad})
+                SynthSpec(**{noise: bad})
     with pytest.raises(ConfigError):
-        make_synthetic(num_classes=2, **{**kw, "tokens_per_example": 0})
+        SynthSpec(tokens=0)
 
 
 # sha256 of make_benchmark(seed): train tokens and labels, test tokens and

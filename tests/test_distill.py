@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cniprobe.dataset import ShotSpec, make_synthetic
+from cniprobe.dataset import ShotSpec, SynthSpec, make_synthetic
 from cniprobe.distill import distill_train, teacher_predict
 from cniprobe.errors import ConfigError, ShapeMismatch
 from cniprobe.headinit import HeadInitSpec, MODE_CNI, average_text_embeddings, init_head
@@ -91,9 +91,9 @@ def test_missing_pool_rejected(setup):
 
 def test_pool_dim_mismatch_rejected(setup):
     train_ds, test_ds, teacher, student0 = setup
-    other, _, _ = make_synthetic(
-        num_classes=3, dim=4, tokens_per_example=2, train_per_class=2,
-        test_per_class=2, num_prompts=2, img_noise=0.2, txt_noise=0.1, seed=1)
+    other, _, _ = make_synthetic(SynthSpec(
+        classes=3, dim=4, tokens=2, train_per_class=2, test_per_class=2,
+        prompts=2, img_noise=0.2, txt_noise=0.1))
     cfg = _cfg(loss=LossConfig(distill_weight=1.0))
     with pytest.raises(ShapeMismatch):
         distill_train(teacher, student0.copy(), train_ds, other, test_ds, cfg)
@@ -105,9 +105,9 @@ def test_teacher_student_shape_mismatch_rejected(tiny_problem):
     head = init_head(HeadInitSpec(mode=MODE_CNI), avg, bank.num_classes,
                      bank.dim)
     student = init_params(head)
-    o_train, o_test, o_bank = make_synthetic(
-        num_classes=4, dim=8, tokens_per_example=2, train_per_class=2,
-        test_per_class=2, num_prompts=2, img_noise=0.2, txt_noise=0.1, seed=2)
+    o_train, o_test, o_bank = make_synthetic(SynthSpec(
+        classes=4, dim=8, tokens=2, train_per_class=2, test_per_class=2,
+        prompts=2, img_noise=0.2, txt_noise=0.1, seed=2))
     o_head = init_head(HeadInitSpec(mode=MODE_CNI),
                        average_text_embeddings(o_bank), 4, 8)
     with pytest.raises(ShapeMismatch):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cniprobe.dataset import EmbeddingDataset, make_synthetic
+from cniprobe.dataset import EmbeddingDataset, SynthSpec, make_synthetic
 from cniprobe.errors import ShapeMismatch
 from cniprobe.evaluate import (
     predictions,
@@ -75,11 +75,9 @@ def test_hand_worked_confusion():
 def test_random_head_near_chance():
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        train, _, _ = make_synthetic(
-            num_classes=10, dim=16, tokens_per_example=2, train_per_class=100,
-            test_per_class=1, num_prompts=1, img_noise=0.35, txt_noise=0.1,
-            seed=seed,
-        )
+        train, _, _ = make_synthetic(SynthSpec(
+            dim=16, tokens=2, train_per_class=100, test_per_class=1, prompts=1,
+            txt_noise=0.1, seed=seed))
         W = rng.normal(size=(10, 16))
         W /= np.linalg.norm(W, axis=1, keepdims=True)
         p = ModelParams(A=np.eye(16), a=np.zeros(16), q=np.zeros(16), W=W,

@@ -167,7 +167,7 @@ def test_uniform_model_ce_is_log_c(rng):
     tokens = rng.normal(size=(8, 2, 5))
     labels = rng.integers(0, 4, size=8)
     cache = forward(p, tokens)
-    total, parts = loss_total(cache, labels, p, None,
+    total, parts = loss_total(cache, smoothed_targets(labels, 4, 0.0), p, None,
                               LossConfig(label_smoothing=0.0))
     assert abs(parts["ce"] - math.log(4)) < 1e-12
     assert total == parts["ce"]
@@ -179,7 +179,8 @@ def test_label_smoothing_ce_loop_oracle(rng):
     labels = rng.integers(0, 3, size=5)
     eps = 0.1
     cache = forward(p, tokens)
-    _, parts = loss_total(cache, labels, p, None, LossConfig(label_smoothing=eps))
+    _, parts = loss_total(cache, smoothed_targets(labels, 3, eps), p, None,
+                          LossConfig(label_smoothing=eps))
     ref = 0.0
     for bi in range(5):
         z = cache.logits[bi]
@@ -195,11 +196,10 @@ def test_anchor_zero_identities(rng):
     p = random_params(rng)
     anchor = {n: p.group(n).copy() for n in ("W", "b")}
     cache = forward(p, rng.normal(size=(3, 2, 4)))
-    _, parts = loss_total(cache, np.zeros(3, dtype=int), p, anchor,
-                          LossConfig(anchor_lambda=0.5))
+    _, parts = loss_total(cache, None, p, anchor, LossConfig(anchor_lambda=0.5))
     assert parts["anchor"] == 0.0
-    _, parts = loss_total(cache, np.zeros(3, dtype=int), p,
-                          {"W": p.W - 1.0}, LossConfig(anchor_lambda=0.0))
+    _, parts = loss_total(cache, None, p, {"W": p.W - 1.0},
+                          LossConfig(anchor_lambda=0.0))
     assert parts["anchor"] == 0.0
 
 
@@ -207,8 +207,7 @@ def test_anchor_term_quadratic(rng):
     p = random_params(rng)
     ref = {"W": p.W - 2.0}  # squared distance = 4 * numel
     cache = forward(p, rng.normal(size=(2, 2, 4)))
-    _, parts = loss_total(cache, np.zeros(2, dtype=int), p, ref,
-                          LossConfig(anchor_lambda=0.25))
+    _, parts = loss_total(cache, None, p, ref, LossConfig(anchor_lambda=0.25))
     assert abs(parts["anchor"] - 0.25 * 4.0 * p.W.size) < 1e-9
 
 
@@ -217,10 +216,12 @@ def test_distill_zero_when_teacher_equals_student(rng):
     tokens = rng.normal(size=(4, 2, 4))
     cache = forward(p, tokens)
     cfg = LossConfig(distill_weight=1.0, distill_temperature=1.0)
-    _, parts = loss_total(cache, None, p, None, cfg, teacher_probs=cache.probs)
+    _, parts = loss_total(cache, None, p, None, cfg,
+                          teacher_targets(cache.probs, 3, 1.0))
     assert parts["distill"] == 0.0
     cfg2 = LossConfig(distill_weight=1.0, distill_temperature=2.0)
-    _, parts2 = loss_total(cache, None, p, None, cfg2, teacher_probs=cache.probs)
+    _, parts2 = loss_total(cache, None, p, None, cfg2,
+                           teacher_targets(cache.probs, 3, 2.0))
     assert abs(parts2["distill"]) < 1e-12
 
 
@@ -232,7 +233,7 @@ def test_distill_kl_loop_oracle(rng):
     cache = forward(p, tokens)
     _, parts = loss_total(cache, None, p, None,
                           LossConfig(distill_weight=w, distill_temperature=tau),
-                          teacher_probs=teacher)
+                          teacher_targets(teacher, 3, tau))
     ref = 0.0
     for bi in range(6):
         tlog = np.log(teacher[bi]) / tau
@@ -253,29 +254,34 @@ def test_distill_handles_exact_zero_teacher_mass(rng):
     teacher = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
     cache = forward(p, tokens)
     _, parts = loss_total(cache, None, p, None,
-                          LossConfig(distill_weight=1.0), teacher_probs=teacher)
+                          LossConfig(distill_weight=1.0),
+                          teacher_targets(teacher, 3, 1.0))
     assert math.isfinite(parts["distill"])
 
 
-def test_bad_teacher_rejected(rng):
-    p = random_params(rng, c=3, d=4)
-    cache = forward(p, rng.normal(size=(2, 2, 4)))
-    cfg = LossConfig(distill_weight=1.0)
-    with pytest.raises(BadTeacherDistribution):
-        loss_total(cache, None, p, None, cfg,
-                   teacher_probs=np.array([[0.7, 0.4, -0.1], [1, 0, 0]]))
-    with pytest.raises(BadTeacherDistribution):
-        loss_total(cache, None, p, None, cfg,
-                   teacher_probs=np.array([[0.7, 0.7, 0.1], [1, 0, 0]]))
-    with pytest.raises(BadTeacherDistribution):
-        loss_total(cache, None, p, None, cfg, teacher_probs=np.ones((2, 4)) / 4)
+def test_bad_teacher_rejected():
+    for bad in (np.array([[0.7, 0.4, -0.1], [1, 0, 0]]),
+                np.array([[0.7, 0.7, 0.1], [1, 0, 0]]), np.ones((2, 4)) / 4):
+        with pytest.raises(BadTeacherDistribution):
+            teacher_targets(bad, 3, 1.0)
 
 
-def test_labels_out_of_range_rejected(rng):
-    p = random_params(rng, c=3, d=4)
-    cache = forward(p, rng.normal(size=(2, 2, 4)))
+def test_labels_out_of_range_rejected():
     with pytest.raises(DataError):
-        loss_total(cache, np.array([0, 3]), p, None, LossConfig())
+        smoothed_targets(np.array([0, 3]), 3, 0.1)
+    with pytest.raises(DataError):
+        smoothed_targets(np.array([-1, 0]), 3, 0.1)
+
+
+def test_loss_rows_must_match_the_batch(rng):
+    p = random_params(rng, c=3, d=4)
+    cache = forward(p, rng.normal(size=(2, 2, 4)))
+    with pytest.raises(ShapeMismatch):
+        loss_total(cache, smoothed_targets(np.array([0, 1, 2]), 3, 0.1), p,
+                   None, LossConfig())
+    with pytest.raises(ShapeMismatch):
+        loss_total(cache, None, p, None, LossConfig(distill_weight=1.0),
+                   np.ones((2, 4)) / 4)
 
 
 def test_loss_config_validation():
@@ -292,13 +298,19 @@ def test_loss_config_validation():
 
 # --- gradients ----------------------------------------------------------------
 
-def token_backward(p, tokens, labels, anchor, cfg, policy, teacher=None):
-    """backward on a token batch, through its prefix rows and targets."""
+def target_rows(p, labels, cfg, teacher):
+    """The smoothed target and tempered teacher rows (None for None)."""
     c = p.num_classes
     targets = None if labels is None else smoothed_targets(
         labels, c, cfg.label_smoothing)
     teacher_tau = None if teacher is None else teacher_targets(
         teacher, c, cfg.distill_temperature)
+    return targets, teacher_tau
+
+
+def token_backward(p, tokens, labels, anchor, cfg, policy, teacher=None):
+    """backward on a token batch, through its prefix rows and targets."""
+    targets, teacher_tau = target_rows(p, labels, cfg, teacher)
     return backward(p, prefix(p, tokens, policy), targets, anchor, cfg, policy,
                     teacher=teacher_tau)
 
@@ -309,11 +321,11 @@ def _flatten(arrs):
 
 def numeric_grad(p, tokens, labels, anchor, cfg, policy, teacher, h=1e-4):
     names = trainable_names(policy)
+    targets, teacher_tau = target_rows(p, labels, cfg, teacher)
 
     def eval_loss():
-        cache = forward(p, tokens)
-        total, _ = loss_total(cache, labels, p, anchor, cfg,
-                              teacher_probs=teacher)
+        total, _ = loss_total(forward(p, tokens), targets, p, anchor, cfg,
+                              teacher_tau)
         return total
 
     grads = []
