@@ -106,14 +106,15 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class DistillSpec(RunSpec):
-    """A student run: the policy is always ALL, plus the KL term's settings."""
+    """A student run: a RunSpec plus the KL term's settings. ``fit`` trains
+    it with ``distill_train``, which always fine-tunes all groups."""
 
     distill_weight: float = DISTILL_WEIGHT
     temperature: float = DISTILL_TEMPERATURE
 
     def train_config(self) -> TrainConfig:
         cfg = super().train_config()
-        return replace(cfg, policy="ALL", loss=replace(
+        return replace(cfg, loss=replace(
             cfg.loss, distill_weight=self.distill_weight,
             distill_temperature=self.temperature))
 
@@ -130,16 +131,15 @@ def fit(spec: RunSpec, train_ds: EmbeddingDataset, test_ds: EmbeddingDataset,
         bank: TextEmbeddingBank, teacher: ModelParams | None = None
         ) -> tuple[Head, ModelParams, MetricHistory]:
     """Build the spec's head from `bank` and train from it; a DistillSpec
-    trains against `teacher`, with the training split as its unlabeled
-    pool when its ``distill_weight`` is positive."""
+    is a ``distill_train`` student of `teacher`, with the training split
+    as its unlabeled pool."""
     head = init_head(spec.head_spec(), average_text_embeddings(bank),
                      bank.num_classes, bank.dim)
     params0, cfg = init_params(head), spec.train_config()
     if not isinstance(spec, DistillSpec):
         return (head, *train(params0, train_ds, test_ds, cfg))
-    pool = train_ds if spec.distill_weight > 0 else None
     return (head,
-            *distill_train(teacher, params0, train_ds, pool, test_ds, cfg))
+            *distill_train(teacher, params0, train_ds, train_ds, test_ds, cfg))
 
 
 _data = functools.cache(make_benchmark)

@@ -51,11 +51,9 @@ from .headinit import (
     average_text_embeddings,
     init_head,
 )
-from .model import LOGIT_SCALE, ModelParams, init_params
+from .model import LOGIT_SCALE, POLICY_ALL, TRAINABLE, ModelParams, init_params
 from .tensorio import read_tensor, write_json, write_tensor
 from .train import SweepEntry, sweep
-
-_PARAM_NAMES = ("A", "a", "q", "W", "b")
 
 
 @dataclass
@@ -129,7 +127,7 @@ def _convert(hint, value, where: str):
             result = kind(arg)
             if kind is not float or math.isfinite(result):
                 return result
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # float(10**400)
             pass
     what = "finite float" if kind is float else kind.__name__
     raise ConfigError(f"{where}: expected {what}, got {value!r}")
@@ -273,15 +271,16 @@ def load_experiment(manifest_path: str | Path):
         prompt_templates=_strings(bank_doc, "prompt_templates", f"{path}: bank"),
         class_names=_strings(bank_doc, "class_names", f"{path}: bank"),
     )
-    if {train_ds.num_classes, test_ds.num_classes} != {bank.num_classes}:
-        raise ParseError(f"{path}: bank and splits disagree on C")
+    if {(ds.num_classes, ds.dim) for ds in (train_ds, test_ds)} != {
+            (bank.num_classes, bank.dim)}:
+        raise ParseError(f"{path}: bank and splits disagree on C or D")
     return train_ds, test_ds, bank
 
 
 # --- saved heads and parameters -----------------------------------------------
 
 def _write_params(out: Path, params: ModelParams) -> None:
-    for name in _PARAM_NAMES:
+    for name in TRAINABLE[POLICY_ALL]:
         write_tensor(out / f"params_{name}.cnit", params.group(name))
     write_json(out / "model.json", {
         "dim": params.dim,
@@ -295,7 +294,7 @@ def _read_params(path: str | Path) -> ModelParams:
     d = Path(path)
     if (d / "params_W.cnit").exists():
         arrays = {n: read_tensor(d / f"params_{n}.cnit").astype(np.float64)
-                  for n in _PARAM_NAMES}
+                  for n in TRAINABLE[POLICY_ALL]}
         model_doc = d / "model.json"
         doc = _read_json(model_doc, ParseError) if model_doc.exists() else {}
         scale = doc.get("logit_scale", LOGIT_SCALE)

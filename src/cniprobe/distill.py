@@ -26,7 +26,7 @@ def teacher_predict(teacher: ModelParams, tokens: np.ndarray) -> np.ndarray:
 
 
 def distill_train(
-    teacher: ModelParams,
+    teacher: ModelParams | None,
     student0: ModelParams,
     labeled_ds: EmbeddingDataset,
     unlabeled_ds: EmbeddingDataset | None,
@@ -35,22 +35,19 @@ def distill_train(
 ) -> tuple[ModelParams, MetricHistory]:
     """Train a student with CE on labels + weighted KL to the teacher.
 
-    The unlabeled pool may be None only when cfg.loss.distill_weight
-    is zero, in which case the run is exactly a plain ALL-policy
-    training run on the labeled set.
+    The teacher and the unlabeled pool are used only when
+    cfg.loss.distill_weight is positive; at weight zero either may be
+    None and the run is exactly a plain ALL-policy training run on the
+    labeled set. A given teacher must share the student's C and D.
     """
-    if (teacher.num_classes != student0.num_classes
-            or teacher.dim != student0.dim):
+    if teacher is not None and (teacher.num_classes != student0.num_classes
+                                or teacher.dim != student0.dim):
         raise ShapeMismatch("teacher and student must share C and D")
     cfg = replace(cfg, policy="ALL")
-    pool = None
-    if cfg.loss.distill_weight > 0.0:
-        if unlabeled_ds is None or unlabeled_ds.num_examples == 0:
-            raise ConfigError(
-                "distill_weight > 0 requires a non-empty unlabeled pool"
-            )
-        if unlabeled_ds.dim != student0.dim:
-            raise ShapeMismatch("unlabeled pool dim does not match student")
-        pool = (unlabeled_ds.tokens,
-                teacher_predict(teacher, unlabeled_ds.tokens))
+    if cfg.loss.distill_weight == 0.0:
+        return _run(student0, labeled_ds, test_ds, cfg)
+    if teacher is None or unlabeled_ds is None:
+        raise ConfigError("distill_weight > 0 requires a teacher and an "
+                          "unlabeled pool")
+    pool = (unlabeled_ds.tokens, teacher_predict(teacher, unlabeled_ds.tokens))
     return _run(student0, labeled_ds, test_ds, cfg, pool)

@@ -48,10 +48,6 @@ class TextEmbeddingBank:
         self.embeddings = emb
 
     @property
-    def num_prompts(self) -> int:
-        return self.embeddings.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.embeddings.shape[1]
 

@@ -73,6 +73,8 @@ class ModelParams:
     def __post_init__(self):
         for name in TRAINABLE[POLICY_ALL]:
             setattr(self, name, np.asarray(self.group(name), dtype=np.float64))
+        if self.A.ndim != 2 or self.W.ndim != 2:
+            raise ShapeMismatch("adapter and head weights must be matrices")
         d = self.A.shape[0]
         c = self.W.shape[0]
         if self.A.shape != (d, d) or self.a.shape != (d,) or self.q.shape != (d,):
@@ -109,6 +111,9 @@ def init_params(head: Head, logit_scale: float = LOGIT_SCALE) -> ModelParams:
     function: uniform attention over tokens and cosine scoring against
     the head rows.
     """
+    if np.ndim(head.W) != 2:
+        raise ShapeMismatch(f"head weight of shape {np.shape(head.W)} "
+                            "is not (C, D)")
     dim = head.W.shape[1]
     return ModelParams(
         A=np.eye(dim, dtype=np.float64),
@@ -299,8 +304,7 @@ def loss_total(
 
     distill = 0.0
     if teacher is not None and cfg.distill_weight > 0.0:
-        tau = cfg.distill_temperature
-        student_tau = _softmax_rows(cache.logits / tau) if tau != 1.0 else cache.probs
+        student_tau = _softmax_rows(cache.logits / cfg.distill_temperature)
         distill = cfg.distill_weight * float(_kl_rows(teacher, student_tau).mean())
 
     total = ce + anchor_term + distill
@@ -334,7 +338,7 @@ def backward(
                 else (cache.probs - targets) / batch)
     if teacher is not None and cfg.distill_weight > 0.0:
         tau = cfg.distill_temperature
-        student_tau = _softmax_rows(cache.logits / tau) if tau != 1.0 else cache.probs
+        student_tau = _softmax_rows(cache.logits / tau)
         g_logits += cfg.distill_weight * (student_tau - teacher) / (tau * batch)
 
     grads: dict[str, np.ndarray] = {}

@@ -57,7 +57,7 @@ def read_tensor(path: str | Path, allow_nonfinite: bool = False) -> np.ndarray:
     try:
         with open(path, "rb") as f:
             blob = f.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise LengthMismatch(f"cannot read tensor from {path}: {exc}") from exc
 
     if len(blob) < 7:

@@ -10,7 +10,7 @@ turning distillation on or off never perturbs labeled batch order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,8 +73,7 @@ class MetricRecord:
     test_top1: float
 
 
-CSV_COLUMNS = ("epoch", "step", "lr", "loss_ce", "loss_anchor",
-               "loss_distill", "test_top1")
+CSV_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 
 
 @dataclass
@@ -91,13 +90,9 @@ class MetricHistory:
         return self.records[-1]
 
     def to_csv(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for r in self.records:
-            lines.append(
-                f"{r.epoch},{r.step},{r.lr!r},{r.loss_ce!r},"
-                f"{r.loss_anchor!r},{r.loss_distill!r},{r.test_top1!r}"
-            )
-        return "\n".join(lines) + "\n"
+        lines = [CSV_COLUMNS] + [[repr(getattr(r, c)) for c in CSV_COLUMNS]
+                                 for r in self.records]
+        return "".join(",".join(line) + "\n" for line in lines)
 
     def to_json_dict(self) -> dict:
         return {"records": [vars(r).copy() for r in self.records]}
@@ -107,14 +102,12 @@ def _pool_batches(m: int, batch_size: int, seed: int):
     """Batches of indices into an m-example unlabeled pool, drawn in turn
     from the pool's permutations, each drawn when the last runs dry."""
     stream = Stream(substream_seed(seed, _UNLABELED_STREAM))
-    order: list[int] = []
+    size, order = min(batch_size, m), []
     while True:
-        batch = []
-        while len(batch) < min(batch_size, m):
-            if not order:
-                order = stream.permutation(m)
-            batch.append(order.pop(0))
-        yield np.asarray(batch, dtype=np.int64)
+        if len(order) < size:
+            order += stream.permutation(m)
+        yield np.asarray(order[:size], dtype=np.int64)
+        del order[:size]
 
 
 def _run(params0: ModelParams, data: EmbeddingDataset,
@@ -168,9 +161,6 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
 
     history = MetricHistory()
     history.append(evaluate(0, 0, cosine_lr(0, sched)))
-    if cfg.epochs == 0:
-        return params, history
-
     shuffle = Stream(substream_seed(cfg.seed, _SHUFFLE_STREAM))
     state = AdafactorState()
     step = 0

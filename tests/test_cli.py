@@ -1,6 +1,7 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes, config files."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -320,6 +321,46 @@ def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["init-head"],
+    ["eval", "--zero-shot"],
+], ids=lambda argv: argv[0])
+def test_bank_of_another_dim_is_parse_error(data_dir, tmp_path, capsys, argv):
+    # the splits have D = 8; a head built from a D = 5 bank fits no split
+    write_tensor(data_dir / "bank.cnit", np.ones((2, 3, 5)))
+    out = tmp_path / "out"
+    assert main(argv + ["--manifest", str(data_dir / "manifest.json"),
+                        "--out", str(out)]) == 3
+    assert "disagree on C or D" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("saved, name, shape", [
+    ("run", "params_A.cnit", ()),
+    ("run", "params_W.cnit", ()),
+    ("head", "head_W.cnit", ()),
+    ("head", "head_W.cnit", (8,)),
+])
+def test_saved_tensor_of_wrong_rank_is_shape_mismatch(data_dir, tmp_path,
+                                                      saved, name, shape):
+    manifest = str(data_dir / "manifest.json")
+    src = tmp_path / saved
+    assert main(["train", "--manifest", manifest, "--epochs", "0",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["init-head", "--manifest", manifest,
+                 "--out", str(tmp_path / "head")]) == 0
+    # write_tensor stores a 0-d array as shape (1,), so spell the file out
+    src.joinpath(name).write_bytes(
+        tensorio.MAGIC + bytes([tensorio.VERSION, tensorio.DTYPE_F32, len(shape)])
+        + np.array(shape, "<u8").tobytes() + np.ones(shape, "<f4").tobytes())
+    commands = (["eval", "--params", str(src)],
+                ["distill", "--teacher", str(src)] + FAST_TRAIN)
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--manifest", manifest, "--out", str(out)]) == 3
+        assert not out.exists()
+
+
 def test_oversized_shot_request_is_data_error(data_dir, tmp_path):
     manifest = str(data_dir / "manifest.json")
     code = main(["train", "--manifest", manifest,
@@ -577,6 +618,13 @@ def _labels(values):
                  ParseError, id="test_split_classes"),
     pytest.param(lambda doc, root: doc["bank"].update(prompt_templates=3),
                  ParseError, id="bank_names_not_list"),
+    pytest.param(lambda doc, root: write_tensor(root / "bank.cnit",
+                                                np.eye(2, 4)[None]),
+                 ParseError, id="bank_dim"),
+    pytest.param(lambda doc, root: (
+        write_tensor(root / "tok4.cnit", np.ones((4, 2, 4))),
+        doc["test"].update(tokens="tok4.cnit", dim=4)),
+                 ParseError, id="test_split_dim"),
 ])
 def test_load_experiment_rejects_bad_manifest(tmp_path, edit, error):
     doc, _, _ = _tiny_experiment(tmp_path)
@@ -661,6 +709,17 @@ def test_study_prints_the_benchmark_comparison(tmp_path, capsys, name):
     assert main(["study", name, "--seeds", "1", "--out", str(out)]) == 0
     assert capsys.readouterr().out == STUDY_SEED_1[name]
     assert (out / "study.txt").read_text() == STUDY_SEED_1[name]
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    # the documented fallback for a checkout that is not installed
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = tmp_path / "data"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cniprobe.cli", "synth", "--out", str(out)]
+        + SMALL_SYNTH, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert read_tensor(out / "bank.cnit").shape == (2, 3, 8)
 
 
 def test_console_script_installed():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from cniprobe import benchmark
+from cniprobe.benchmark import DistillSpec, arm
 from cniprobe.dataset import ShotSpec, SynthSpec, make_synthetic
 from cniprobe.distill import distill_train, teacher_predict
 from cniprobe.errors import ConfigError, ShapeMismatch
 from cniprobe.headinit import HeadInitSpec, MODE_CNI, average_text_embeddings, init_head
-from cniprobe.model import LossConfig, init_params
+from cniprobe.model import POLICY_ALL, TRAINABLE, LossConfig, init_params
 from cniprobe.train import TrainConfig, train
 
 
@@ -121,3 +123,27 @@ def test_teacher_predict_rows_are_distributions(setup):
     assert probs.shape == (train_ds.num_examples, train_ds.num_classes)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(probs > 0)
+
+
+def test_teacher_is_needed_only_for_a_positive_weight(setup):
+    train_ds, test_ds, _, student0 = setup
+    d_params, d_hist = distill_train(None, student0.copy(), train_ds, train_ds,
+                                     test_ds, _cfg())
+    p_params, p_hist = train(student0.copy(), train_ds, test_ds,
+                             _cfg(policy="ALL"))
+    assert d_params.W.tobytes() == p_params.W.tobytes()
+    assert d_hist.to_csv() == p_hist.to_csv()
+    with pytest.raises(ConfigError):
+        distill_train(None, student0.copy(), train_ds, train_ds, test_ds,
+                      _cfg(loss=LossConfig(distill_weight=1.0)))
+
+
+def test_zero_weight_student_spec_runs_without_a_teacher():
+    s = 1
+    student = benchmark.run(arm(s, DistillSpec, shots=1, distill_weight=0.0), s)
+    plain = benchmark.run(arm(s, policy="ALL", shots=1), s)
+    for name in TRAINABLE[POLICY_ALL]:
+        assert student[0].group(name).tobytes() == plain[0].group(name).tobytes()
+    assert student[1].to_csv() == plain[1].to_csv()
+    with pytest.raises(ConfigError):
+        benchmark.run(arm(s, DistillSpec, shots=1), s)
