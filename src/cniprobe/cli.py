@@ -18,6 +18,7 @@ metrics.csv or tensor files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -108,6 +109,9 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+_hints = functools.cache(get_type_hints)  # spec class -> {field: type}
+
+
 def _convert(hint, value, where: str):
     """A flag string or JSON value as the field type `hint` (X or X | None).
 
@@ -140,7 +144,7 @@ def _build_spec(cls, names: tuple[str, ...], doc: dict, where: str,
     Keys outside `names` and values that do not convert to their
     field's type raise ConfigError; unset fields keep their defaults.
     """
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for key, value in doc.items():
         name = key.replace("-", "_")
@@ -486,7 +490,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cniprobe`` parser, built on first use and shared by every `main`."""
     parser = argparse.ArgumentParser(
         prog="cniprobe",
         description="Few-shot adaptation experiments on frozen embeddings.",
@@ -498,9 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags override)")
         for name in paths:
             p.add_argument(_flag(name), required=True, help=_PATH_HELP[name])
-        hints = get_type_hints(cls) if cls else {}
         for name in names:
-            if hints[name] is bool:
+            if _hints(cls)[name] is bool:
                 p.add_argument(_flag(name), action="store_true", default=None)
             else:
                 p.add_argument(_flag(name))
@@ -519,8 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CniProbeError as exc:  # ConfigError and any other: 2

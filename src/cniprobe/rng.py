@@ -13,9 +13,10 @@ implementations in other languages:
 
 ``gaussians(n)`` is the bulk path and returns the bytes of n calls of
 ``gaussian()``, leaving the same spare and state. xorshift64* is linear
-over GF(2), so after the first ``_LANES`` states, which come from the
-scalar recurrence, every lane jumps ahead by M^_LANES at once through
-eight byte tables (M is the step as a 64x64 bit matrix). The multiply,
+over GF(2), with M the step as a 64x64 bit matrix. So after ``_HEAD``
+scalar steps, the k states in hand jump ahead by M^k at once through
+eight byte tables, doubling until there are enough; the table of M^2k
+is that of M^k applied to itself (Haramoto et al. 2008). The multiply,
 shift, square root and products are exact in numpy; ``log``, ``cos``
 and ``sin`` stay on ``math`` (the C library), because numpy's SIMD
 float64 ``log`` does not round every input as ``math.log`` does.
@@ -37,7 +38,7 @@ from .errors import NumericalError
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
-_LANES = 1024
+_HEAD = 32
 
 
 def _step(x):
@@ -47,12 +48,20 @@ def _step(x):
     return x ^ (x >> 27)
 
 
+def _jump(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The uint64 states `x` after M^k, from `table` = ``_jump_table(k)``."""
+    octets = x.astype("<u8").view(np.uint8).reshape(-1, 8)
+    return np.bitwise_xor.reduce(table[np.arange(8), octets], axis=1).reshape(x.shape)
+
+
 @functools.cache
-def _jump_tables() -> np.ndarray:
-    """(8, 256) tables: entry [b, v] is M^_LANES (v << 8b); built on use."""
+def _jump_table(k: int) -> np.ndarray:
+    """(8, 256) table, entry [b, v] = M^k (v << 8b), for k = _HEAD * 2^j."""
+    if k > _HEAD:  # M^k = M^(k/2) M^(k/2)
+        return _jump(_jump_table(k // 2), _jump_table(k // 2))
     byte_shifts = np.arange(0, 64, 8, dtype=np.uint64)[:, None]
     t = np.arange(256, dtype=np.uint64) << byte_shifts
-    for _ in range(_LANES):  # M is linear, so stepping each entry applies it
+    for _ in range(k):  # M is linear, so stepping each entry applies it
         t = _step(t)
     return t
 
@@ -114,15 +123,12 @@ class Stream:
     def _uniforms(self, m: int) -> np.ndarray:
         """m calls of ``uniform()`` as an array; see the module docstring."""
         x, head = self._state, []
-        for _ in range(min(m, _LANES)):
+        for _ in range(min(m, _HEAD)):
             x = _step(x)
             head.append(x)
-        rows = [np.array(head, dtype=np.uint64)]
-        for _ in range(-(-m // _LANES) - 1):
-            octets = rows[-1].astype("<u8").view(np.uint8).reshape(-1, 8)
-            rows.append(np.bitwise_xor.reduce(
-                _jump_tables()[np.arange(8), octets], axis=1))
-        states = np.concatenate(rows)[:m]
+        states = np.array(head, dtype=np.uint64)
+        while (k := len(states)) < m:  # state k + i is M^k of state i
+            states = np.concatenate([states, _jump(_jump_table(k), states[:m - k])])
         if m:
             self._state = int(states[-1])
         out = states * np.uint64(_XORSHIFT_MULT)

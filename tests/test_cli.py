@@ -182,6 +182,22 @@ def test_config_file_and_flag_precedence(data_dir, tmp_path):
     assert doc2["epochs"] == 2 and doc2["lr"] == 0.002
 
 
+def test_cached_parser_keeps_no_state_between_calls(data_dir, tmp_path):
+    # main reuses one parser per process: a flag given to one call must
+    # not carry over into a later call that omits it
+    assert build_parser() is build_parser()
+    manifest = str(data_dir / "manifest.json")
+    head, first, second = (tmp_path / n for n in ("head", "first", "second"))
+    assert main(["init-head", "--manifest", manifest, "--out", str(head)]) == 0
+    assert main(["eval", "--manifest", manifest, "--zero-shot", "--split",
+                 "train", "--out", str(first)]) == 0
+    assert main(["eval", "--manifest", manifest, "--params", str(head),
+                 "--out", str(second)]) == 0
+    docs = [json.loads((d / "config.json").read_text()) for d in (first, second)]
+    assert [(d["zero_shot"], d["split"], d["params"]) for d in docs] == [
+        (True, "train", None), (False, "test", str(head))]
+
+
 def test_unknown_config_key_rejected(data_dir, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_json(cfg_path, {"learning_rate": 1.0})

@@ -166,9 +166,11 @@ def test_gaussian_spare_survives_odd_draws():
     np.testing.assert_array_equal(b.gaussians(6), singles)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 31, 1023, 1024, 1025, 2055, 3073])
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, 65, 1023, 1024, 1025,
+                               2055, 3073, 4096, 4097, 6400])
 def test_bulk_gaussians_are_the_scalar_draws(n):
-    # the bulk path jumps lanes of 1024 states ahead; these n straddle that
+    # the bulk path takes 32 scalar states, then doubles the states it has
+    # by jumping each ahead; these n (2n uniforms) straddle the doublings
     bulk, scalar = Stream(n + 11), Stream(n + 11)
     for lead in (0, 1, 0, 1):  # an odd scalar draw leaves a spare behind
         for _ in range(lead):
