@@ -16,15 +16,14 @@ from .headinit import (
     init_head,
 )
 from .model import LossConfig, ModelParams, backward, forward, init_params, loss_total
-from .optim import AdafactorConfig, AdafactorState, ScheduleConfig, adafactor_step, cosine_lr
+from .optim import AdafactorState, adafactor_step, cosine_lr
 from .rng import Stream, substream_seed
 from .tensorio import read_tensor, write_tensor
-from .train import MetricHistory, SweepEntry, SweepRow, TrainConfig, sweep, train
+from .train import MetricHistory, SweepEntry, SweepRow, TrainConfig, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdafactorConfig",
     "AdafactorState",
     "BENCHMARK_SEEDS",
     "CniProbeError",
@@ -41,7 +40,6 @@ __all__ = [
     "MODE_RANDOM",
     "ModelParams",
     "NumericalError",
-    "ScheduleConfig",
     "ShotSpec",
     "Stream",
     "SweepEntry",
@@ -67,7 +65,6 @@ __all__ = [
     "sweep",
     "teacher_predict",
     "top1",
-    "train",
     "write_tensor",
     "zero_shot",
 ]

@@ -17,7 +17,7 @@ import numpy as np
 from .dataset import EmbeddingDataset
 from .errors import ConfigError, ShapeMismatch
 from .model import ModelParams, forward
-from .train import MetricHistory, TrainConfig, _run
+from .train import MetricHistory, TrainConfig, train
 
 
 def teacher_predict(teacher: ModelParams, tokens: np.ndarray) -> np.ndarray:
@@ -45,9 +45,9 @@ def distill_train(
         raise ShapeMismatch("teacher and student must share C and D")
     cfg = replace(cfg, policy="ALL")
     if cfg.loss.distill_weight == 0.0:
-        return _run(student0, labeled_ds, test_ds, cfg)
+        return train(student0, labeled_ds, test_ds, cfg)
     if teacher is None or unlabeled_ds is None:
         raise ConfigError("distill_weight > 0 requires a teacher and an "
                           "unlabeled pool")
     pool = (unlabeled_ds.tokens, teacher_predict(teacher, unlabeled_ds.tokens))
-    return _run(student0, labeled_ds, test_ds, cfg, pool)
+    return train(student0, labeled_ds, test_ds, cfg, pool)

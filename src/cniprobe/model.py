@@ -104,8 +104,8 @@ class ModelParams:
         return {name: getattr(self, name) for name in trainable_names(policy)}
 
 
-def init_params(head: Head, logit_scale: float = LOGIT_SCALE) -> ModelParams:
-    """Identity adapter, zero query and the given head.
+def init_params(head: Head) -> ModelParams:
+    """Identity adapter, zero query and the given head, at ``LOGIT_SCALE``.
 
     All freezing policies therefore start from the same zero-shot
     function: uniform attention over tokens and cosine scoring against
@@ -121,7 +121,6 @@ def init_params(head: Head, logit_scale: float = LOGIT_SCALE) -> ModelParams:
         q=np.zeros(dim, dtype=np.float64),
         W=np.asarray(head.W, dtype=np.float64).copy(),
         b=np.asarray(head.b, dtype=np.float64).copy(),
-        logit_scale=logit_scale,
     )
 
 

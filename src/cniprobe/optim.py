@@ -3,9 +3,11 @@
 Matrices store row/column mean-square accumulators (n + m values
 instead of n*m); 1-D parameters keep a full second-moment vector.
 Relative step sizing is disabled: the caller supplies the learning
-rate, normally from ``cosine_lr``. Updates are RMS-clipped, carried by
-beta1 momentum, and weight decay is decoupled (applied to the weights,
-never folded into gradients).
+rate, normally from ``cosine_lr``. Updates are RMS-clipped at
+``CLIP_THRESHOLD``, carried by ``BETA1`` momentum, and weight decay
+(``WEIGHT_DECAY``) is decoupled: applied to the weights, never folded
+into gradients. The second-moment decay is ``1 - t^-0.8`` capped at
+``BETA2``, and ``EPS1`` is added to every squared gradient.
 """
 
 from __future__ import annotations
@@ -17,45 +19,26 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
 
-
-@dataclass
-class ScheduleConfig:
-    base_lr: float
-    total_steps: int
-    warmup_steps: int = 0
-    min_lr: float = 0.0
-
-    def __post_init__(self):
-        if not self.base_lr > 0:
-            raise ConfigError("base_lr must be positive")
-        if self.total_steps < 1:
-            raise ConfigError("total_steps must be >= 1")
-        if self.warmup_steps < 0 or self.min_lr < 0:
-            raise ConfigError("warmup_steps and min_lr must be >= 0")
-        if self.warmup_steps >= self.total_steps:
-            raise ConfigError("warmup_steps must be < total_steps")
+BETA1 = 0.9
+BETA2 = 0.999
+WEIGHT_DECAY = 0.01
+EPS1 = 1e-30
+CLIP_THRESHOLD = 1.0
 
 
-def cosine_lr(step: int, cfg: ScheduleConfig) -> float:
-    """Linear warmup to base_lr, then cosine decay to min_lr."""
-    if step < 0 or step > cfg.total_steps:
-        raise ConfigError(f"step {step} outside [0, {cfg.total_steps}]")
-    if step < cfg.warmup_steps:
-        return cfg.base_lr * step / cfg.warmup_steps
-    span = cfg.total_steps - cfg.warmup_steps
-    frac = (step - cfg.warmup_steps) / span
-    return cfg.min_lr + (cfg.base_lr - cfg.min_lr) * 0.5 * (
+def cosine_lr(step: int, total_steps: int, base_lr: float,
+              warmup_steps: int, min_lr: float) -> float:
+    """Linear warmup to base_lr, then cosine decay to min_lr; the caller
+    keeps ``0 <= warmup_steps < total_steps``."""
+    if step < 0 or step > total_steps:
+        raise ConfigError(f"step {step} outside [0, {total_steps}]")
+    if step < warmup_steps:
+        return base_lr * step / warmup_steps
+    span = total_steps - warmup_steps
+    frac = (step - warmup_steps) / span
+    return min_lr + (base_lr - min_lr) * 0.5 * (
         1.0 + math.cos(math.pi * frac)
     )
-
-
-@dataclass
-class AdafactorConfig:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.01
-    eps1: float = 1e-30
-    clip_threshold: float = 1.0
 
 
 @dataclass
@@ -88,7 +71,6 @@ def adafactor_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     lr: float,
-    cfg: AdafactorConfig = AdafactorConfig(),
 ) -> None:
     """One optimizer step, mutating ``params`` arrays in place.
 
@@ -97,9 +79,9 @@ def adafactor_step(
     ``sum / n``, as numpy computes ``mean``, to skip its call overhead.
     """
     state.step += 1
-    b2 = min(cfg.beta2, 1.0 - math.pow(state.step, -0.8))  # 1 - t^-0.8, capped
-    new2, new1 = 1.0 - b2, 1.0 - cfg.beta1
-    decay = 1.0 - lr * cfg.weight_decay
+    b2 = min(BETA2, 1.0 - math.pow(state.step, -0.8))  # 1 - t^-0.8, capped
+    new2, new1 = 1.0 - b2, 1.0 - BETA1
+    decay = 1.0 - lr * WEIGHT_DECAY
     for name, grad in grads.items():
         p = params.get(name)
         if p is None:
@@ -110,7 +92,7 @@ def adafactor_step(
             )
         m = state._ensure(name, p.shape)
 
-        sq = grad * grad + cfg.eps1
+        sq = grad * grad + EPS1
         if p.ndim == 2:
             r, c = state.row[name], state.col[name]
             rows, cols = sq.shape
@@ -126,14 +108,12 @@ def adafactor_step(
             vhat = v
         update = grad / np.sqrt(vhat)
 
-        if cfg.clip_threshold > 0:
-            rms = math.sqrt(float((update * update).sum()) / update.size)
-            if rms > cfg.clip_threshold:  # else max(1, rms / clip) is 1
-                update /= rms / cfg.clip_threshold
+        rms = math.sqrt(float((update * update).sum()) / update.size)
+        if rms > CLIP_THRESHOLD:  # else max(1, rms / clip) is 1
+            update /= rms / CLIP_THRESHOLD
 
-        m *= cfg.beta1
+        m *= BETA1
         m += new1 * update
 
-        if cfg.weight_decay > 0:
-            p *= decay
+        p *= decay
         p -= lr * m

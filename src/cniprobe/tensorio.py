@@ -48,11 +48,10 @@ def write_tensor(path: str | Path, t: np.ndarray) -> None:
         raise WriteError(f"cannot write tensor to {path}: {exc}") from exc
 
 
-def read_tensor(path: str | Path, allow_nonfinite: bool = False) -> np.ndarray:
+def read_tensor(path: str | Path) -> np.ndarray:
     """Read a CNIT file back into a float32 array.
 
-    Validates magic, version, dtype and payload length; rejects NaN/Inf
-    unless ``allow_nonfinite`` is set.
+    Validates magic, version, dtype and payload length; rejects NaN/Inf.
     """
     try:
         with open(path, "rb") as f:
@@ -83,7 +82,7 @@ def read_tensor(path: str | Path, allow_nonfinite: bool = False) -> np.ndarray:
             f"{path}: expected {expected} bytes for shape {shape}, got {len(blob)}"
         )
     data = np.frombuffer(blob[dims_end:], dtype="<f4").reshape(shape)
-    if not allow_nonfinite and not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(data)):
         raise NonFiniteValue(f"{path}: tensor contains NaN or Inf")
     return data.copy()
 

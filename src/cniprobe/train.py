@@ -30,7 +30,7 @@ from .model import (
     teacher_targets,
     trainable_names,
 )
-from .optim import AdafactorState, ScheduleConfig, adafactor_step, cosine_lr
+from .optim import AdafactorState, adafactor_step, cosine_lr
 from .rng import Stream, substream_seed
 
 _SHUFFLE_STREAM = 0  # labeled batch order
@@ -39,7 +39,8 @@ _UNLABELED_STREAM = 1  # unlabeled batch order during distillation
 
 @dataclass
 class TrainConfig:
-    """Run settings; the LR schedule's step count is derived from the data."""
+    """Run settings, each checked here; the LR schedule's step count comes
+    from the data, so ``train`` checks ``warmup_steps`` against it."""
 
     epochs: int = 200
     batch_size: int = 32
@@ -59,6 +60,10 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be >= 1")
+        if not self.base_lr > 0:
+            raise ConfigError("base_lr must be positive")
+        if self.warmup_steps < 0 or self.min_lr < 0:
+            raise ConfigError("warmup_steps and min_lr must be >= 0")
         trainable_names(self.policy)  # validates the policy name
 
 
@@ -110,13 +115,24 @@ def _pool_batches(m: int, batch_size: int, seed: int):
         del order[:size]
 
 
-def _run(params0: ModelParams, data: EmbeddingDataset,
-         test_ds: EmbeddingDataset, cfg: TrainConfig,
-         pool: tuple[np.ndarray, np.ndarray] | None = None
-         ) -> tuple[ModelParams, MetricHistory]:
-    """Train; ``pool`` is the unlabeled tokens and the teacher's probabilities."""
+def train(params0: ModelParams, train_ds: EmbeddingDataset,
+          test_ds: EmbeddingDataset, cfg: TrainConfig,
+          pool: tuple[np.ndarray, np.ndarray] | None = None
+          ) -> tuple[ModelParams, MetricHistory]:
+    """Fine-tune under cfg.policy; frozen groups come back bit-identical.
+
+    When ``cfg.shot_spec`` is set the labeled set is sampled from
+    ``train_ds`` first; the anchor reference is the pre-training value
+    of the trainable parameters. ``pool``, for distillation, is the
+    unlabeled tokens and the teacher's probabilities over them.
+    """
     if cfg.shot_spec is not None:
-        data = data.subset(sample_k_shot(data, cfg.shot_spec))
+        train_ds = train_ds.subset(sample_k_shot(train_ds, cfg.shot_spec))
+    n = train_ds.num_examples
+    total_steps = max(1, cfg.epochs * math.ceil(n / cfg.batch_size))
+    if cfg.warmup_steps >= total_steps:
+        raise ConfigError("warmup_steps must be < total_steps")
+    schedule = (total_steps, cfg.base_lr, cfg.warmup_steps, cfg.min_lr)
     params = params0.copy()
     policy, loss_cfg = cfg.policy, cfg.loss
     anchor = {name: params0.group(name).copy()
@@ -126,20 +142,14 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
     # The groups the policy freezes never change, so each set's prefix
     # rows, its smoothed targets and the teacher rows are built once.
     num_classes = params0.num_classes
-    rows = prefix(params0, data.tokens, policy)
-    targets = smoothed_targets(data.labels, num_classes, loss_cfg.label_smoothing)
+    rows = prefix(params0, train_ds.tokens, policy)
+    targets = smoothed_targets(train_ds.labels, num_classes, loss_cfg.label_smoothing)
     test_rows = prefix(params0, test_ds.tokens, policy)
     if pool is not None:
         pool_rows = prefix(params0, pool[0], policy)
         pool_teacher = teacher_targets(pool[1], num_classes,
                                        loss_cfg.distill_temperature)
         pool_batches = _pool_batches(len(pool_rows), cfg.batch_size, cfg.seed)
-
-    n = data.num_examples
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = max(1, cfg.epochs * steps_per_epoch)
-    sched = ScheduleConfig(base_lr=cfg.base_lr, total_steps=total_steps,
-                           warmup_steps=cfg.warmup_steps, min_lr=cfg.min_lr)
 
     def evaluate(epoch: int, step: int, lr: float) -> MetricRecord:
         """The history row; non-finite parameters or losses raise."""
@@ -160,7 +170,7 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
         )
 
     history = MetricHistory()
-    history.append(evaluate(0, 0, cosine_lr(0, sched)))
+    history.append(evaluate(0, 0, cosine_lr(0, *schedule)))
     shuffle = Stream(substream_seed(cfg.seed, _SHUFFLE_STREAM))
     state = AdafactorState()
     step = 0
@@ -170,7 +180,7 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
         for lo in range(0, n, cfg.batch_size):
             batch = np.asarray(order[lo:lo + cfg.batch_size], dtype=np.int64)
             step += 1
-            lr = cosine_lr(step, sched)
+            lr = cosine_lr(step, *schedule)
             grads = backward(params, rows[batch], targets[batch], anchor,
                              loss_cfg, policy)
             if pool is not None:
@@ -183,18 +193,6 @@ def _run(params0: ModelParams, data: EmbeddingDataset,
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             history.append(evaluate(epoch, step, lr))
     return params, history
-
-
-def train(params0: ModelParams, train_ds: EmbeddingDataset,
-          test_ds: EmbeddingDataset,
-          cfg: TrainConfig) -> tuple[ModelParams, MetricHistory]:
-    """Fine-tune under cfg.policy; frozen groups come back bit-identical.
-
-    When ``cfg.shot_spec`` is set the labeled set is sampled from
-    ``train_ds`` first; the anchor reference is the pre-training value
-    of the trainable parameters.
-    """
-    return _run(params0, train_ds, test_ds, cfg)
 
 
 @dataclass

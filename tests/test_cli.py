@@ -466,6 +466,33 @@ def test_sweep_config_takes_only_entries(data_dir, tmp_path, capsys):
         assert not (tmp_path / "s").exists()
 
 
+def test_sweep_entry_out_of_range_exits_2_before_any_run(data_dir, tmp_path,
+                                                         capsys):
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, {"entries": [{"label": "ok", "epochs": 1},
+                                 {"label": "x", "lr": 0}]})
+    out = tmp_path / "s"
+    code = main(["sweep", "--manifest", str(data_dir / "manifest.json"),
+                 "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "base_lr must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "0"), ("--lr", "-1"), ("--warmup-steps", "-1"),
+    ("--min-lr", "-1"), ("--epochs", "-1"),
+])
+def test_out_of_range_setting_exits_2_before_input_is_read(tmp_path, capsys,
+                                                           flag, value):
+    out = tmp_path / "out"
+    code = main(["train", "--manifest", str(tmp_path / "missing.json"),
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
     manifest = str(data_dir / "manifest.json")
     bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """Evaluation reports and the zero-shot reference classifier."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -113,8 +114,8 @@ def test_predictions_invariant_to_logit_scale(tiny_problem):
     avg = average_text_embeddings(bank)
     head = init_head(HeadInitSpec(mode=MODE_CNI), avg, bank.num_classes,
                      bank.dim)
-    p10 = init_params(head, logit_scale=10.0)
-    p50 = init_params(head, logit_scale=50.0)
+    p10 = init_params(head)
+    p50 = dataclasses.replace(init_params(head), logit_scale=50.0)
     np.testing.assert_array_equal(predictions(p10, train_ds),
                                   predictions(p50, train_ds))
 

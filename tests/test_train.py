@@ -1,10 +1,11 @@
 """Training-loop contracts: freezing, determinism, history, sweeps."""
 
-import importlib
+import math
 
 import numpy as np
 import pytest
 
+import cniprobe.train as train_module
 from cniprobe.dataset import ShotSpec
 from cniprobe.errors import ConfigError, NumericalError
 from cniprobe.evaluate import zero_shot
@@ -136,6 +137,24 @@ def test_train_config_validation():
         TrainConfig(eval_every=0)
     with pytest.raises(ConfigError):
         TrainConfig(policy="everything")
+    for bad in (dict(base_lr=0.0), dict(base_lr=-1.0), dict(warmup_steps=-1),
+                dict(min_lr=-1.0)):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+
+
+def test_warmup_reaching_the_step_count_is_a_run_time_error(tiny_problem,
+                                                            tiny_cni_params):
+    # the step count depends on the data, so train checks it, once per run
+    train_ds, test_ds, bank = tiny_problem
+    steps = 2 * math.ceil(train_ds.num_examples / 4)  # 2 epochs of batch 4
+    with pytest.raises(ConfigError, match="warmup_steps must be < total_steps"):
+        train(tiny_cni_params, train_ds, test_ds, _cfg(epochs=2, warmup_steps=steps))
+    _, history = train(tiny_cni_params, train_ds, test_ds,
+                       _cfg(epochs=2, warmup_steps=steps - 1))
+    assert history.final.step == steps
+    row, = sweep(bank, train_ds, test_ds, _entries(1, epochs=2, warmup_steps=steps))
+    assert row.error == "ConfigError: warmup_steps must be < total_steps"
 
 
 # --- sweep --------------------------------------------------------------------
@@ -190,8 +209,6 @@ def test_divergence_raises_and_becomes_a_sweep_row(tiny_problem, tiny_cni_params
 
 def test_sweep_rows_only_for_package_errors(tiny_problem, monkeypatch):
     train_ds, test_ds, bank = tiny_problem
-    # the package rebinds the name ``cniprobe.train`` to the function
-    train_module = importlib.import_module("cniprobe.train")
 
     def failing(exc):
         def fake_train(*args):
