@@ -85,8 +85,8 @@ class RunSpec:
     eval_every: int = 10
 
     def head_spec(self) -> HeadInitSpec:
-        fraction = self.fraction if self.init == MODE_PARTIAL else None
-        return HeadInitSpec(mode=self.init, fraction=fraction, seed=self.init_seed)
+        return HeadInitSpec(mode=self.init, fraction=self.fraction,
+                            seed=self.init_seed)
 
     def train_config(self) -> TrainConfig:
         shot_spec = None

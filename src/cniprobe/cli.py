@@ -41,6 +41,7 @@ from .errors import (
     NumericalError,
     ParseError,
     ShapeMismatch,
+    WriteError,
 )
 from .evaluate import top1, zero_shot
 from .headinit import (
@@ -52,7 +53,7 @@ from .headinit import (
     average_text_embeddings,
     init_head,
 )
-from .model import LOGIT_SCALE, POLICY_ALL, TRAINABLE, ModelParams, init_params
+from .model import POLICY_ALL, TRAINABLE, ModelParams, init_params
 from .tensorio import read_tensor, write_json, write_tensor
 from .train import SweepEntry, sweep
 
@@ -79,7 +80,10 @@ def _timestamp() -> str:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at or above --out
+        raise WriteError(f"cannot make output directory {out}: {exc}") from exc
     return out
 
 
@@ -183,22 +187,10 @@ def cmd_synth(args) -> int:
     write_tensor(out / "test_tokens.cnit", test_ds.tokens)
     write_tensor(out / "test_labels.cnit", test_ds.labels)
     write_tensor(out / "bank.cnit", bank.embeddings)
-
-    def split_doc(name: str, ds: EmbeddingDataset) -> dict:
-        return {
-            "name": name,
-            "tokens": f"{name}_tokens.cnit",
-            "labels": f"{name}_labels.cnit",
-            "num_classes": ds.num_classes,
-            "dim": ds.dim,
-            "tokens_per_example": ds.tokens.shape[1],
-            "class_names": bank.class_names,
-        }
-
     write_json(out / "manifest.json", {
         "format": "cniprobe-experiment",
-        "train": split_doc("train", train_ds),
-        "test": split_doc("test", test_ds),
+        "train": {"tokens": "train_tokens.cnit", "labels": "train_labels.cnit"},
+        "test": {"tokens": "test_tokens.cnit", "labels": "test_labels.cnit"},
         "bank": {
             "embeddings": "bank.cnit",
             "prompt_templates": bank.prompt_templates,
@@ -211,10 +203,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_SPLIT_KEYS = ("name", "tokens", "labels", "num_classes", "dim",
-               "tokens_per_example")
-
-
 def _strings(doc: dict, key: str, where: str) -> list[str]:
     """The optional list ``doc[key]``, as strings."""
     value = doc.get(key, [])
@@ -223,37 +211,33 @@ def _strings(doc: dict, key: str, where: str) -> list[str]:
     return [str(s) for s in value]
 
 
-def _read_split(doc, base: Path, where: str) -> EmbeddingDataset:
-    """One split as ``cmd_synth`` writes it, checked against its tensors."""
+def _read_split(doc, base: Path, where: str, num_classes: int) -> EmbeddingDataset:
+    """One split's tensor pair; T and D come from the tokens, C from the bank."""
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: split must be a JSON object")
-    for key in _SPLIT_KEYS:
+    for key in ("tokens", "labels"):
         if key not in doc:
             raise ParseError(f"{where}: split missing field {key!r}")
-    num_classes, dim, t = (_whole(doc[k]) for k in
-                           ("num_classes", "dim", "tokens_per_example"))
-    if not all(n is not None and n >= 1 for n in (num_classes, dim, t)):
-        raise ParseError(f"{where}: num_classes, dim and tokens_per_example "
-                         "must be integers >= 1")
     tokens = read_tensor(base / str(doc["tokens"]))
-    if tokens.ndim != 3 or tokens.shape[1:] != (t, dim):
-        raise ShapeMismatch(f"{where}: tokens shape {tokens.shape} disagrees "
-                            f"with the manifest (T={t}, D={dim})")
+    if tokens.ndim != 3:
+        raise ShapeMismatch(f"{where}: tokens shape {tokens.shape} "
+                            "is not (M, T, D)")
     labels = read_tensor(base / str(doc["labels"]))
     if labels.shape != tokens.shape[:1]:
         raise ShapeMismatch(f"{where}: labels shape {labels.shape} disagrees "
                             f"with M={tokens.shape[0]}")
     if np.any(labels != np.round(labels)):
         raise LabelOutOfRange(f"{where}: labels must be integral")
-    if len(_strings(doc, "class_names", where)) not in (0, num_classes):
-        raise ParseError(f"{where}: class_names must be empty or have "
-                         "num_classes entries")
     return EmbeddingDataset(tokens=tokens, labels=labels,
                             num_classes=num_classes)
 
 
 def load_experiment(manifest_path: str | Path):
-    """Read an experiment manifest: train/test datasets plus the bank."""
+    """Read an experiment manifest: train/test datasets plus the bank.
+
+    Keys the reader does not use are ignored, so manifests that also
+    give each split's name, counts and class names still load.
+    """
     path = Path(manifest_path)
     doc = _read_json(path, ParseError)
     for key in ("train", "test", "bank"):
@@ -261,9 +245,6 @@ def load_experiment(manifest_path: str | Path):
             raise ParseError(f"{path}: experiment manifest missing {key!r}")
 
     base = path.parent
-    train_ds = _read_split(doc["train"], base, f"{path}: train")
-    test_ds = _read_split(doc["test"], base, f"{path}: test")
-
     bank_doc = doc["bank"]
     if not isinstance(bank_doc, dict) or "embeddings" not in bank_doc:
         raise ParseError(f"{path}: bank section needs an 'embeddings' path")
@@ -275,37 +256,23 @@ def load_experiment(manifest_path: str | Path):
         prompt_templates=_strings(bank_doc, "prompt_templates", f"{path}: bank"),
         class_names=_strings(bank_doc, "class_names", f"{path}: bank"),
     )
-    if {(ds.num_classes, ds.dim) for ds in (train_ds, test_ds)} != {
-            (bank.num_classes, bank.dim)}:
+    train_ds, test_ds = (_read_split(doc[key], base, f"{path}: {key}",
+                                     bank.num_classes)
+                         for key in ("train", "test"))
+    if {train_ds.dim, test_ds.dim} != {bank.dim}:
         raise ParseError(f"{path}: bank and splits disagree on C or D")
     return train_ds, test_ds, bank
 
 
 # --- saved heads and parameters -----------------------------------------------
 
-def _write_params(out: Path, params: ModelParams) -> None:
-    for name in TRAINABLE[POLICY_ALL]:
-        write_tensor(out / f"params_{name}.cnit", params.group(name))
-    write_json(out / "model.json", {
-        "dim": params.dim,
-        "num_classes": params.num_classes,
-        "logit_scale": params.logit_scale,
-    })
-
-
 def _read_params(path: str | Path) -> ModelParams:
     """Load model params from a train output dir, or lift a saved head."""
     d = Path(path)
     if (d / "params_W.cnit").exists():
-        arrays = {n: read_tensor(d / f"params_{n}.cnit").astype(np.float64)
-                  for n in TRAINABLE[POLICY_ALL]}
-        model_doc = d / "model.json"
-        doc = _read_json(model_doc, ParseError) if model_doc.exists() else {}
-        scale = doc.get("logit_scale", LOGIT_SCALE)
-        if type(scale) not in (int, float) or not 0 < scale <= sys.float_info.max:
-            raise ParseError(f"{model_doc}: logit_scale must be a "
-                             "positive finite number")
-        return ModelParams(logit_scale=float(scale), **arrays)
+        return ModelParams(**{
+            n: read_tensor(d / f"params_{n}.cnit").astype(np.float64)
+            for n in TRAINABLE[POLICY_ALL]})
     if (d / "head_W.cnit").exists():
         W = read_tensor(d / "head_W.cnit").astype(np.float64)
         b = read_tensor(d / "head_b.cnit").astype(np.float64)
@@ -368,7 +335,8 @@ def cmd_train(args) -> int:
     _write_head(out, head, head_spec)
     (out / "metrics.csv").write_text(history.to_csv(), encoding="utf-8")
     write_json(out / "metrics.json", history.to_json_dict())
-    _write_params(out, params)
+    for name in TRAINABLE[POLICY_ALL]:
+        write_tensor(out / f"params_{name}.cnit", params.group(name))
     write_json(out / "summary.json", {
         "final_top1": history.final.test_top1,
         "final_epoch": history.final.epoch,

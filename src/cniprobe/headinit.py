@@ -72,6 +72,9 @@ class HeadInitSpec:
                 raise ConfigError("partial init requires a fraction")
             if not 0.0 <= self.fraction <= 1.0:
                 raise ConfigError("fraction must lie in [0, 1]")
+        elif self.fraction is not None:
+            raise ConfigError("fraction applies only to partial init, "
+                              f"not {self.mode!r}")
 
 
 @dataclass

@@ -6,7 +6,7 @@ Per example with tokens t_1..t_T (each in R^D):
     alpha   = softmax(<u_i, q> / sqrt(D))    single-query attention pooling
     H       = sum_i alpha_i u_i              pooled embedding
     Hn      = H / ||H||                      unit-normalized
-    logits  = logit_scale * W Hn + b
+    logits  = LOGIT_SCALE * W Hn + b         fixed scale, LOGIT_SCALE = 10
     Y       = softmax(logits)
 
 The unit normalization before the head makes a text-initialized model
@@ -50,7 +50,7 @@ TRAINABLE = {
 }
 
 _POOL_EPS = 1e-12
-LOGIT_SCALE = 10.0  # the default fixed logit scale
+LOGIT_SCALE = 10.0  # the fixed logit scale
 
 
 def trainable_names(policy: str) -> tuple[str, ...]:
@@ -61,14 +61,13 @@ def trainable_names(policy: str) -> tuple[str, ...]:
 
 @dataclass
 class ModelParams:
-    """Trainable pipeline parameters plus the fixed logit scale."""
+    """Trainable pipeline parameters."""
 
     A: np.ndarray  # (D, D) adapter weight
     a: np.ndarray  # (D,)   adapter bias
     q: np.ndarray  # (D,)   pooler query
     W: np.ndarray  # (C, D) head weight
     b: np.ndarray  # (C,)   head bias
-    logit_scale: float = LOGIT_SCALE
 
     def __post_init__(self):
         for name in TRAINABLE[POLICY_ALL]:
@@ -81,8 +80,6 @@ class ModelParams:
             raise ShapeMismatch("adapter/pooler shapes inconsistent")
         if self.W.shape != (c, d) or self.b.shape != (c,):
             raise ShapeMismatch("head shapes inconsistent with (C, D)")
-        if not 0 < self.logit_scale < math.inf:
-            raise ConfigError("logit_scale must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -93,8 +90,8 @@ class ModelParams:
         return self.W.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(logit_scale=self.logit_scale, **{
-            name: self.group(name).copy() for name in TRAINABLE[POLICY_ALL]})
+        return ModelParams(**{name: self.group(name).copy()
+                              for name in TRAINABLE[POLICY_ALL]})
 
     def group(self, name: str) -> np.ndarray:
         return getattr(self, name)
@@ -105,7 +102,7 @@ class ModelParams:
 
 
 def init_params(head: Head) -> ModelParams:
-    """Identity adapter, zero query and the given head, at ``LOGIT_SCALE``.
+    """Identity adapter, zero query and the given head.
 
     All freezing policies therefore start from the same zero-shot
     function: uniform attention over tokens and cosine scoring against
@@ -219,7 +216,7 @@ def forward_from(p: ModelParams, rows: np.ndarray, policy: str) -> ForwardCache:
         attn = _softmax_rows(scores)  # <a, q> is the same for every token
         tbar = np.einsum("bt,btd->bd", attn, rows)
         pooled_unit, norms = _unit(np.einsum("de,be->bd", p.A, tbar) + p.a)
-    logits = p.logit_scale * (pooled_unit @ p.W.T) + p.b
+    logits = LOGIT_SCALE * (pooled_unit @ p.W.T) + p.b
     return ForwardCache(adapted, tbar, attn, pooled_unit, norms, logits,
                         _softmax_rows(logits))
 
@@ -342,11 +339,11 @@ def backward(
 
     grads: dict[str, np.ndarray] = {}
     grads["b"] = g_logits.sum(axis=0)
-    grads["W"] = p.logit_scale * (g_logits.T @ cache.pooled_unit)
+    grads["W"] = LOGIT_SCALE * (g_logits.T @ cache.pooled_unit)
 
     if policy != POLICY_L:
         # back through the normalization and the pooler
-        d_unit = p.logit_scale * (g_logits @ p.W)  # (B, D)
+        d_unit = LOGIT_SCALE * (g_logits @ p.W)  # (B, D)
         radial = (d_unit * cache.pooled_unit).sum(axis=1, keepdims=True)
         d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
         if policy == POLICY_PL:

@@ -89,6 +89,9 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 def write_json(path: str | Path, doc: dict) -> None:
     """Deterministic JSON dump (sorted keys, trailing newline)."""
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f, indent=2, sort_keys=True)
+            f.write("\n")
+    except OSError as exc:
+        raise WriteError(f"cannot write JSON to {path}: {exc}") from exc

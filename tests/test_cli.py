@@ -53,7 +53,8 @@ def test_synth_writes_complete_experiment(data_dir):
             "test_labels.cnit", "bank.cnit", "manifest.json",
             "config.json"} <= names
     doc = json.loads((data_dir / "manifest.json").read_text())
-    assert doc["train"]["num_classes"] == 3
+    assert doc["train"] == {"tokens": "train_tokens.cnit",
+                            "labels": "train_labels.cnit"}
     assert doc["bank"]["embeddings"] == "bank.cnit"
     assert read_tensor(data_dir / "bank.cnit").shape == (2, 3, 8)
     assert "generated_at" not in doc  # reruns must stay byte-identical
@@ -136,9 +137,9 @@ def test_train_outputs_and_metric_determinism(data_dir, tmp_path, capsys):
     assert 0.0 <= acc <= 1.0
     assert (outs[0] / "metrics.csv").read_bytes() == \
         (outs[1] / "metrics.csv").read_bytes()
-    for name in ("metrics.json", "summary.json", "config.json", "model.json",
-                 "head.json"):
+    for name in ("metrics.json", "summary.json", "config.json", "head.json"):
         assert (outs[0] / name).exists()
+    assert not (outs[0] / "model.json").exists()
     for g in ("A", "a", "q", "W", "b"):
         assert (outs[0] / f"params_{g}.cnit").exists()
     summary = json.loads((outs[0] / "summary.json").read_text())
@@ -228,6 +229,22 @@ def test_distill_missing_teacher_dir(data_dir, tmp_path):
                  "--teacher", str(tmp_path / "nothing"),
                  "--out", str(tmp_path / "s")] + FAST_TRAIN)
     assert code == 3
+
+
+def test_stale_model_json_is_ignored(data_dir, tmp_path):
+    manifest = str(data_dir / "manifest.json")
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", manifest, "--epochs", "0",
+                 "--out", str(run)]) == 0
+    reports = []
+    for i, stale in enumerate((None, '{"logit_scale": -1}', "{not json")):
+        if stale is not None:  # what an older version wrote beside params
+            (run / "model.json").write_text(stale)
+        assert main(["eval", "--manifest", manifest, "--params", str(run),
+                     "--out", str(tmp_path / f"ev{i}")]) == 0
+        reports.append(json.loads((tmp_path / f"ev{i}" / "eval.json")
+                                  .read_text())["report"])
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_eval_accepts_trained_params(data_dir, tmp_path):
@@ -328,6 +345,21 @@ def test_failed_synth_leaves_no_out(tmp_path, capsys, flag, noise):
     assert main(["synth", flag, noise, "--out", str(out)]) == 4
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+def test_out_that_cannot_be_a_directory_exits_3(data_dir, tmp_path, capsys,
+                                                 under):
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"keep")
+    out = str(blocker / "sub" if under else blocker)
+    manifest = str(data_dir / "manifest.json")
+    for argv in (["synth"] + SMALL_SYNTH,
+                 ["train", "--manifest", manifest, "--epochs", "0"],
+                 ["eval", "--manifest", manifest, "--zero-shot"]):
+        assert main(argv + ["--out", out]) == 3, argv[0]
+        assert "cannot make output directory" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"keep"
 
 
 def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path):
@@ -493,6 +525,22 @@ def test_out_of_range_setting_exits_2_before_input_is_read(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("init", ["cni", "random"])
+def test_fraction_without_partial_init_exits_2_before_input_is_read(
+        tmp_path, capsys, init):
+    missing = str(tmp_path / "missing.json")
+    cfg = tmp_path / "sweep.json"
+    write_json(cfg, {"entries": [{"label": "x", "init": init,
+                                  "fraction": 0.5}]})
+    for argv in (["train", "--init", init, "--fraction", "0.5"],
+                 ["init-head", "--init", init, "--fraction", "0.5"],
+                 ["sweep", "--config", str(cfg)]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--manifest", missing, "--out", str(out)]) == 2
+        assert "only to partial init" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
     manifest = str(data_dir / "manifest.json")
     bad = tmp_path / "bad.json"
@@ -615,12 +663,29 @@ def _tiny_experiment(root, m=4, t=2, d=3, num_classes=2):
     write_tensor(root / "tok.cnit", tokens)
     write_tensor(root / "lab.cnit", labels)
     write_tensor(root / "bank.cnit", np.eye(num_classes, d)[None])
-    split = {"name": "toy", "tokens": "tok.cnit", "labels": "lab.cnit",
-             "num_classes": num_classes, "dim": d, "tokens_per_example": t}
+    split = {"tokens": "tok.cnit", "labels": "lab.cnit"}
     doc = {"train": split, "test": dict(split),
            "bank": {"embeddings": "bank.cnit"}}
     write_json(root / "manifest.json", doc)
     return doc, tokens, labels
+
+
+def test_old_manifest_layout_loads_the_same_arrays(data_dir):
+    # the layout ``synth`` wrote before each split held only its two paths
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    names = doc["bank"]["class_names"]
+    for split in ("train", "test"):
+        doc[split].update(name=split, num_classes=3, dim=8,
+                          tokens_per_example=2, class_names=names)
+    write_json(data_dir / "old.json", doc)
+    new = load_experiment(data_dir / "manifest.json")
+    old = load_experiment(data_dir / "old.json")
+    for a, b in zip(new[:2], old[:2]):
+        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        assert a.num_classes == b.num_classes == 3
+    np.testing.assert_array_equal(new[2].embeddings, old[2].embeddings)
+    assert new[2].class_names == old[2].class_names == names
 
 
 def test_load_experiment_roundtrip_is_bit_exact(tmp_path):
@@ -632,33 +697,25 @@ def test_load_experiment_roundtrip_is_bit_exact(tmp_path):
             ds.tokens, tokens.astype(np.float32).astype(np.float64))
 
 
-def _set(**fields):
-    return lambda doc, root: doc["train"].update(fields)
-
-
 def _labels(values):
     return lambda doc, root: write_tensor(root / "lab.cnit", np.array(values))
 
 
 @pytest.mark.parametrize("edit, error", [
-    pytest.param(lambda doc, root: doc["train"].pop("dim"), ParseError,
-                 id="missing_field"),
-    pytest.param(lambda doc, root: doc["train"].pop("name"), ParseError,
-                 id="missing_name"),
-    pytest.param(_set(dim=99), ShapeMismatch, id="shape_cross_check"),
+    pytest.param(lambda doc, root: doc.update(train=["tok.cnit", "lab.cnit"]),
+                 ParseError, id="split_not_object"),
+    pytest.param(lambda doc, root: doc["train"].pop("tokens"), ParseError,
+                 id="missing_tokens"),
+    pytest.param(lambda doc, root: doc["test"].pop("labels"), ParseError,
+                 id="missing_labels"),
+    pytest.param(lambda doc, root: write_tensor(root / "tok.cnit",
+                                                np.ones((4, 6))),
+                 ShapeMismatch, id="tokens_rank"),
     pytest.param(_labels([0.0, 1.0]), ShapeMismatch, id="labels_length"),
     pytest.param(_labels([0.0, 0.5, 1.0, 1.0]), LabelOutOfRange,
                  id="fractional_labels"),
     pytest.param(_labels([0.0, 1.0, 2.0, 0.0]), LabelOutOfRange,
                  id="out_of_range_labels"),
-    pytest.param(_set(class_names=["only-one"]), ParseError,
-                 id="class_names_length"),
-    pytest.param(_set(num_classes="abc"), ParseError, id="count_is_string"),
-    pytest.param(_set(dim=3.5), ParseError, id="count_is_fraction"),
-    pytest.param(_set(tokens_per_example=True), ParseError, id="count_is_bool"),
-    pytest.param(_set(num_classes=0), ParseError, id="count_is_zero"),
-    pytest.param(lambda doc, root: doc["test"].update(num_classes=3),
-                 ParseError, id="test_split_classes"),
     pytest.param(lambda doc, root: doc["bank"].update(prompt_templates=3),
                  ParseError, id="bank_names_not_list"),
     pytest.param(lambda doc, root: write_tensor(root / "bank.cnit",
@@ -666,7 +723,7 @@ def _labels(values):
                  ParseError, id="bank_dim"),
     pytest.param(lambda doc, root: (
         write_tensor(root / "tok4.cnit", np.ones((4, 2, 4))),
-        doc["test"].update(tokens="tok4.cnit", dim=4)),
+        doc["test"].update(tokens="tok4.cnit")),
                  ParseError, id="test_split_dim"),
 ])
 def test_load_experiment_rejects_bad_manifest(tmp_path, edit, error):
@@ -677,14 +734,6 @@ def test_load_experiment_rejects_bad_manifest(tmp_path, edit, error):
         load_experiment(tmp_path / "manifest.json")
 
 
-def test_load_experiment_accepts_whole_float_counts(tmp_path):
-    doc, _, _ = _tiny_experiment(tmp_path)
-    doc["train"].update(num_classes=2.0, dim=3.0, tokens_per_example=2.0)
-    write_json(tmp_path / "manifest.json", doc)
-    train, _, _ = load_experiment(tmp_path / "manifest.json")
-    assert train.num_classes == 2 and type(train.num_classes) is int
-
-
 def test_load_experiment_paths_resolve_against_manifest_dir(tmp_path,
                                                             monkeypatch):
     _tiny_experiment(tmp_path / "exp" / "v1")
@@ -692,34 +741,6 @@ def test_load_experiment_paths_resolve_against_manifest_dir(tmp_path,
     train, test, bank = load_experiment("exp/v1/manifest.json")
     assert train.tokens.shape == test.tokens.shape == (4, 2, 3)
     assert bank.num_classes == 2
-
-
-@pytest.mark.parametrize("where, bad", [
-    pytest.param("manifest", {"num_classes": "abc"}, id="manifest_string"),
-    pytest.param("manifest", {"dim": 8.7}, id="manifest_fraction"),  # D = 8
-    pytest.param("model", "{not json", id="model_not_json"),
-    pytest.param("model", "[1, 2]", id="model_not_object"),
-    pytest.param("model", '{"logit_scale": "abc"}', id="model_scale_string"),
-    pytest.param("model", '{"logit_scale": -1}', id="model_scale_negative"),
-    pytest.param("model", '{"logit_scale": 1e400}', id="model_scale_infinite"),
-    pytest.param("model", '{"logit_scale": 1%s}' % ("0" * 400),
-                 id="model_scale_huge_int"),
-])
-def test_malformed_input_is_data_error(data_dir, tmp_path, capsys, where, bad):
-    manifest = data_dir / "manifest.json"
-    run = tmp_path / "run"
-    assert main(["train", "--manifest", str(manifest), "--epochs", "0",
-                 "--out", str(run)]) == 0
-    if where == "manifest":
-        doc = json.loads(manifest.read_text())
-        doc["train"].update(bad)
-        write_json(manifest, doc)
-    else:
-        (run / "model.json").write_text(bad)
-    code = main(["eval", "--manifest", str(manifest), "--params", str(run),
-                 "--out", str(tmp_path / "ev")])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("error: ")
 
 
 # What the parent study scripts (compare_inits.py, anchor_study.py,

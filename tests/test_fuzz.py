@@ -1,8 +1,8 @@
 """Fuzzed input files end in an exit code, never a traceback.
 
 Each case edits one input of a small experiment that ``synth`` wrote: a
-manifest field, ``model.json``, or the rank and shape of one CNIT file
-that the manifest or a params directory points to. It then runs ``eval``,
+manifest field, or the rank and shape of one CNIT file that the
+manifest or a params directory points to. It then runs ``eval``,
 which must return 0, 2, 3 or 4. Sweep-config entries go through
 ``cli._sweep_entries``, which may raise only the package's errors (the
 ones ``main`` turns into those codes). Nothing here trains, so a fuzzed
@@ -86,9 +86,8 @@ def _eval_codes(base: Path, edit, *sources: str | None) -> set[int]:
 
 @FUZZ
 @given(section=st.sampled_from(("train", "test", "bank")),
-       key=st.sampled_from(("name", "tokens", "labels", "num_classes", "dim",
-                            "tokens_per_example", "class_names", "embeddings",
-                            "prompt_templates", None)),
+       key=st.sampled_from(("tokens", "labels", "embeddings", "class_names",
+                            "prompt_templates", "name", None)),  # name: unread
        value=JSON, drop=st.booleans())
 @example(section="train", key="tokens", value="\x00", drop=False)
 def test_fuzzed_manifest_field(base, section, key, value, drop):
@@ -104,17 +103,6 @@ def test_fuzzed_manifest_field(base, section, key, value, drop):
         path.write_text(json.dumps(doc))
 
     assert _eval_codes(base, edit, None, "run") <= {0, 2, 3, 4}
-
-
-@FUZZ
-@given(doc=JSON | st.dictionaries(st.just("logit_scale"), JSON, min_size=1)
-       | st.text(max_size=8))
-def test_fuzzed_model_json(base, doc):
-    def edit(root):
-        (root / "run" / "model.json").write_text(
-            doc if isinstance(doc, str) else json.dumps(doc))
-
-    assert _eval_codes(base, edit, "run") <= {0, 2, 3, 4}
 
 
 @st.composite
@@ -147,13 +135,6 @@ def test_fuzzed_tensor_shape(base, case):
     name, shape = case
 
     def edit(root):
-        if name.endswith("_tokens.cnit") and len(shape) == 3:
-            # the manifest declares the new T and D, so the split loads
-            path = root / "data" / "manifest.json"
-            doc = json.loads(path.read_text())
-            split = Path(name).name.split("_")[0]
-            doc[split].update(tokens_per_example=shape[1], dim=shape[2])
-            path.write_text(json.dumps(doc))
         # spelled out, as write_tensor stores a 0-d array as shape (1,)
         data = (np.arange(np.prod(shape)) % 3).astype("<f4")
         (root / name).write_bytes(

@@ -21,6 +21,7 @@ from cniprobe.errors import (
 )
 from cniprobe.headinit import Head
 from cniprobe.model import (
+    LOGIT_SCALE,
     LossConfig,
     ModelParams,
     backward,
@@ -35,14 +36,13 @@ from cniprobe.model import (
 )
 
 
-def random_params(rng, c=3, d=4, logit_scale=10.0):
+def random_params(rng, c=3, d=4):
     return ModelParams(
         A=rng.normal(size=(d, d)) * 0.5 + np.eye(d),
         a=rng.normal(size=d) * 0.1,
         q=rng.normal(size=d) * 0.5,
         W=rng.normal(size=(c, d)),
         b=rng.normal(size=c) * 0.1,
-        logit_scale=logit_scale,
     )
 
 
@@ -72,7 +72,7 @@ def loop_forward(p, tokens):
             pooled += alpha[ti] * adapted[ti]
         pooled /= math.sqrt(float(pooled @ pooled))
         for ci in range(c_count):
-            logits[bi, ci] = p.logit_scale * float(pooled @ p.W[ci]) + p.b[ci]
+            logits[bi, ci] = LOGIT_SCALE * float(pooled @ p.W[ci]) + p.b[ci]
     return logits
 
 
@@ -380,7 +380,7 @@ def explicit_all_backward(p, tokens, targets, anchor, cfg, teacher=None):
         student = np.exp(z - z.max(axis=1, keepdims=True))
         student /= student.sum(axis=1, keepdims=True)
         g_logits += cfg.distill_weight * (student - teacher) / (tau * batch)
-    d_unit = p.logit_scale * (g_logits @ p.W)
+    d_unit = LOGIT_SCALE * (g_logits @ p.W)
     radial = (d_unit * cache.pooled_unit).sum(axis=1, keepdims=True)
     d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
     d_attn = np.einsum("btd,bd->bt", cache.adapted, d_pool)
@@ -393,7 +393,7 @@ def explicit_all_backward(p, tokens, targets, anchor, cfg, teacher=None):
         "A": np.einsum("btd,bte->de", d_adapted, tokens),
         "a": d_adapted.sum(axis=(0, 1)),
         "q": np.einsum("bt,btd->d", d_scores, cache.adapted) / sqrt_d,
-        "W": p.logit_scale * (g_logits.T @ cache.pooled_unit),
+        "W": LOGIT_SCALE * (g_logits.T @ cache.pooled_unit),
         "b": g_logits.sum(axis=0),
     }
     for name in anchor or {}:
@@ -480,10 +480,6 @@ def test_model_params_validation():
     with pytest.raises(ShapeMismatch):
         ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
                     W=np.zeros((2, 4)), b=np.zeros(2))
-    for scale in (0.0, math.inf, math.nan):
-        with pytest.raises(ConfigError):
-            ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
-                        W=np.zeros((2, 3)), b=np.zeros(2), logit_scale=scale)
 
 
 def test_params_copy_is_deep(rng):

@@ -15,6 +15,7 @@ from cniprobe.errors import (
     NonFiniteValue,
     TensorFormatError,
     UnsupportedDtype,
+    WriteError,
 )
 from cniprobe.tensorio import read_tensor, write_json, write_tensor
 
@@ -158,6 +159,16 @@ def test_write_json_is_deterministic(tmp_path):
     assert x.endswith(b"\n")
     assert json.loads(x) == doc
     assert x.index(b'"a"') < x.index(b'"b"')
+
+
+def test_unwritable_path_is_write_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"keep")
+    with pytest.raises(WriteError):
+        write_tensor(blocker / "x.cnit", np.zeros(2))
+    with pytest.raises(WriteError):
+        write_json(blocker / "x.json", {})
+    assert blocker.read_bytes() == b"keep"
 
 
 def test_manifest_roundtrip(tmp_path):
