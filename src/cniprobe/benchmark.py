@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import EmbeddingDataset, ShotSpec, SynthSpec, make_synthetic
+from .dataset import EmbeddingDataset, SynthSpec, make_synthetic
 from .distill import distill_train
 from .evaluate import zero_shot
 from .headinit import (MODE_CNI, MODE_PARTIAL, MODE_RANDOM, Head, HeadInitSpec,
@@ -64,21 +64,17 @@ class RunSpec:
 
     The ``train`` flags, its config-file keys, sweep entries and the
     echoed ``config.json`` all have exactly these fields. ``lr=None``
-    means the init mode's default; ``shots`` and ``train_fraction``
-    are exclusive, and both None trains on the whole split.
+    means the init mode's default, and ``shots=None`` the whole split.
     """
 
     init: str = MODE_CNI
     fraction: float | None = None
     init_seed: int = 0
     shots: int | None = None
-    train_fraction: float | None = None
     policy: str = "PL"
     epochs: int = BENCH_EPOCHS
     batch_size: int = BENCH_BATCH
     lr: float | None = None
-    warmup_steps: int = 0
-    min_lr: float = 0.0
     label_smoothing: float = 0.1
     anchor_lambda: float = 0.0
     seed: int = 0
@@ -89,18 +85,13 @@ class RunSpec:
                             seed=self.init_seed)
 
     def train_config(self) -> TrainConfig:
-        shot_spec = None
-        if self.shots is not None or self.train_fraction is not None:
-            shot_spec = ShotSpec(k=self.shots, fraction=self.train_fraction,
-                                 seed=self.seed)
         return TrainConfig(
             epochs=self.epochs, batch_size=self.batch_size,
             base_lr=default_lr(self.init) if self.lr is None else self.lr,
-            warmup_steps=self.warmup_steps, min_lr=self.min_lr,
             loss=LossConfig(label_smoothing=self.label_smoothing,
                             anchor_lambda=self.anchor_lambda),
             policy=self.policy, seed=self.seed, eval_every=self.eval_every,
-            shot_spec=shot_spec,
+            shots=self.shots,
         )
 
 

@@ -78,6 +78,15 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _check_out(out: Path) -> None:
+    """Raise WriteError unless `out` could be made a directory: the
+    nearest existing path at or above it must be one. Makes nothing."""
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise WriteError(f"cannot make output directory {out}: "
+                         f"{existing} is not a directory")
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -312,29 +321,25 @@ def cmd_sample_shots(args) -> int:
     train_ds, _, _ = load_experiment(args.manifest)
     indices = sample_k_shot(train_ds, spec)
     out = _out_dir(args)
-    write_json(out / "shots.json", {
-        "indices": indices,
-        "k": spec.k,
-        "fraction": spec.fraction,
-        "seed": spec.seed,
-        "num_classes": train_ds.num_classes,
-    })
+    write_json(out / "shots.json",
+               {"indices": indices, "k": spec.k, "seed": spec.seed})
     _echo_config(out, args, spec)
     print(f"wrote {len(indices)} indices to {out / 'shots.json'}")
     return 0
 
 
 def cmd_train(args) -> int:
-    """``train`` and ``distill``: ``fit`` the spec; ``--out`` is made after."""
+    """``train`` and ``distill``: ``fit`` the spec. ``--out`` is checked
+    before any input is read and made after the run."""
     spec = _resolve(args)
-    teacher = _read_params(args.teacher) if "teacher" in args.paths else None
     head_spec, cfg = spec.head_spec(), spec.train_config()  # validate first
+    _check_out(Path(args.out))
+    teacher = _read_params(args.teacher) if "teacher" in args.paths else None
     train_ds, test_ds, bank = load_experiment(args.manifest)
     head, params, history = fit(spec, train_ds, test_ds, bank, teacher)
     out = _out_dir(args)
     _write_head(out, head, head_spec)
     (out / "metrics.csv").write_text(history.to_csv(), encoding="utf-8")
-    write_json(out / "metrics.json", history.to_json_dict())
     for name in TRAINABLE[POLICY_ALL]:
         write_tensor(out / f"params_{name}.cnit", params.group(name))
     write_json(out / "summary.json", {

@@ -73,19 +73,14 @@ class EmbeddingDataset:
 
 @dataclass
 class ShotSpec:
-    """Either k shots per class or a class-stratified training fraction."""
+    """k shots per class, sampled at ``seed``; k must be given."""
 
     k: int | None = None
-    fraction: float | None = None
     seed: int = 0
 
     def __post_init__(self):
-        if (self.k is None) == (self.fraction is None):
-            raise ConfigError("exactly one of k / fraction must be set")
-        if self.k is not None and self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise ConfigError("fraction must lie in (0, 1]")
+        if self.k is None or self.k < 1:
+            raise ConfigError("k must be set and >= 1")
 
 
 def sample_k_shot(ds: EmbeddingDataset, spec: ShotSpec) -> list[int]:
@@ -93,23 +88,16 @@ def sample_k_shot(ds: EmbeddingDataset, spec: ShotSpec) -> list[int]:
 
     Classes are visited in ascending order; each class's index list
     (ascending) is Fisher-Yates-shuffled with a single xorshift64*
-    stream seeded from ``spec.seed`` and the first k (or
-    ceil(fraction * class size), at least one) entries are kept.
+    stream seeded from ``spec.seed`` and the first k entries are kept.
     """
     stream = Stream(spec.seed)
     out: list[int] = []
     for c in range(ds.num_classes):
         idx = [int(i) for i in np.flatnonzero(ds.labels == c)]
-        if spec.k is not None:
-            need = spec.k
-            if len(idx) < need:
-                raise InsufficientExamples(c, len(idx), need)
-        else:
-            need = math.ceil(spec.fraction * len(idx))
-            if need < 1:
-                raise InsufficientExamples(c, len(idx), 1)
+        if len(idx) < spec.k:
+            raise InsufficientExamples(c, len(idx), spec.k)
         stream.shuffle(idx)
-        out.extend(idx[:need])
+        out.extend(idx[:spec.k])
     return out
 
 

@@ -26,19 +26,11 @@ EPS1 = 1e-30
 CLIP_THRESHOLD = 1.0
 
 
-def cosine_lr(step: int, total_steps: int, base_lr: float,
-              warmup_steps: int, min_lr: float) -> float:
-    """Linear warmup to base_lr, then cosine decay to min_lr; the caller
-    keeps ``0 <= warmup_steps < total_steps``."""
+def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
+    """Cosine decay from base_lr at step 0 to 0 at ``total_steps``."""
     if step < 0 or step > total_steps:
         raise ConfigError(f"step {step} outside [0, {total_steps}]")
-    if step < warmup_steps:
-        return base_lr * step / warmup_steps
-    span = total_steps - warmup_steps
-    frac = (step - warmup_steps) / span
-    return min_lr + (base_lr - min_lr) * 0.5 * (
-        1.0 + math.cos(math.pi * frac)
-    )
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * (step / total_steps)))
 
 
 @dataclass

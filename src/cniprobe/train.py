@@ -39,19 +39,17 @@ _UNLABELED_STREAM = 1  # unlabeled batch order during distillation
 
 @dataclass
 class TrainConfig:
-    """Run settings, each checked here; the LR schedule's step count comes
-    from the data, so ``train`` checks ``warmup_steps`` against it."""
+    """Run settings, each checked here; ``shots`` per class are sampled at
+    ``seed``, and ``shots=None`` trains on the whole split."""
 
     epochs: int = 200
     batch_size: int = 32
     base_lr: float = 1e-5
-    warmup_steps: int = 0
-    min_lr: float = 0.0
     loss: LossConfig = field(default_factory=LossConfig)
     policy: str = "PL"
     seed: int = 0
     eval_every: int = 10
-    shot_spec: ShotSpec | None = None
+    shots: int | None = None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -62,8 +60,8 @@ class TrainConfig:
             raise ConfigError("eval_every must be >= 1")
         if not self.base_lr > 0:
             raise ConfigError("base_lr must be positive")
-        if self.warmup_steps < 0 or self.min_lr < 0:
-            raise ConfigError("warmup_steps and min_lr must be >= 0")
+        if self.shots is not None and self.shots < 1:
+            raise ConfigError("shots must be >= 1")
         trainable_names(self.policy)  # validates the policy name
 
 
@@ -99,9 +97,6 @@ class MetricHistory:
                                  for r in self.records]
         return "".join(",".join(line) + "\n" for line in lines)
 
-    def to_json_dict(self) -> dict:
-        return {"records": [vars(r).copy() for r in self.records]}
-
 
 def _pool_batches(m: int, batch_size: int, seed: int):
     """Batches of indices into an m-example unlabeled pool, drawn in turn
@@ -121,18 +116,16 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
           ) -> tuple[ModelParams, MetricHistory]:
     """Fine-tune under cfg.policy; frozen groups come back bit-identical.
 
-    When ``cfg.shot_spec`` is set the labeled set is sampled from
+    When ``cfg.shots`` is set the labeled set is sampled from
     ``train_ds`` first; the anchor reference is the pre-training value
     of the trainable parameters. ``pool``, for distillation, is the
     unlabeled tokens and the teacher's probabilities over them.
     """
-    if cfg.shot_spec is not None:
-        train_ds = train_ds.subset(sample_k_shot(train_ds, cfg.shot_spec))
+    if cfg.shots is not None:
+        shots = ShotSpec(k=cfg.shots, seed=cfg.seed)
+        train_ds = train_ds.subset(sample_k_shot(train_ds, shots))
     n = train_ds.num_examples
-    total_steps = max(1, cfg.epochs * math.ceil(n / cfg.batch_size))
-    if cfg.warmup_steps >= total_steps:
-        raise ConfigError("warmup_steps must be < total_steps")
-    schedule = (total_steps, cfg.base_lr, cfg.warmup_steps, cfg.min_lr)
+    schedule = (max(1, cfg.epochs * math.ceil(n / cfg.batch_size)), cfg.base_lr)
     params = params0.copy()
     policy, loss_cfg = cfg.policy, cfg.loss
     anchor = {name: params0.group(name).copy()

@@ -113,13 +113,22 @@ def test_sample_shots_deterministic(data_dir, tmp_path):
     assert (a / "shots.json").read_bytes() == (b / "shots.json").read_bytes()
     doc = json.loads((a / "shots.json").read_text())
     assert len(doc["indices"]) == 6
+    assert set(doc) == {"indices", "k", "seed"}
 
 
-def test_sample_shots_rejects_conflicting_flags(data_dir, tmp_path):
-    code = main(["sample-shots", "--manifest", str(data_dir / "manifest.json"),
-                 "--k", "2", "--fraction", "0.5",
-                 "--out", str(tmp_path / "s")])
-    assert code == 2
+def test_sample_shots_rejects_conflicting_flags(data_dir, tmp_path, capsys):
+    argv = ["sample-shots", "--manifest", str(data_dir / "manifest.json"),
+            "--out", str(tmp_path / "s")]
+    with pytest.raises(SystemExit) as exc:  # there is no fraction mode
+        main(argv + ["--k", "2", "--fraction", "0.5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"k": 2, "fraction": 0.5})
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "unknown key 'fraction'" in capsys.readouterr().err
+    assert main(argv) == 2  # k has no default
+    assert "k must be set" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_train_outputs_and_metric_determinism(data_dir, tmp_path, capsys):
@@ -137,9 +146,10 @@ def test_train_outputs_and_metric_determinism(data_dir, tmp_path, capsys):
     assert 0.0 <= acc <= 1.0
     assert (outs[0] / "metrics.csv").read_bytes() == \
         (outs[1] / "metrics.csv").read_bytes()
-    for name in ("metrics.json", "summary.json", "config.json", "head.json"):
+    for name in ("summary.json", "config.json", "head.json"):
         assert (outs[0] / name).exists()
-    assert not (outs[0] / "model.json").exists()
+    for name in ("model.json", "metrics.json"):  # metrics.csv holds the history
+        assert not (outs[0] / name).exists()
     for g in ("A", "a", "q", "W", "b"):
         assert (outs[0] / f"params_{g}.cnit").exists()
     summary = json.loads((outs[0] / "summary.json").read_text())
@@ -362,6 +372,29 @@ def test_out_that_cannot_be_a_directory_exits_3(data_dir, tmp_path, capsys,
     assert blocker.read_bytes() == b"keep"
 
 
+@pytest.mark.parametrize("command", ["train", "distill"])
+def test_out_that_cannot_be_a_directory_fails_before_the_run(
+        data_dir, tmp_path, capsys, monkeypatch, command):
+    manifest = str(data_dir / "manifest.json")
+    teacher = tmp_path / "teacher"
+    assert main(["train", "--manifest", manifest, "--epochs", "0",
+                 "--out", str(teacher)]) == 0
+
+    def no_fit(*args):
+        raise AssertionError("fit ran before --out was checked")
+
+    monkeypatch.setattr(cli, "fit", no_fit)
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"keep")
+    argv = [command, "--manifest", manifest]
+    if command == "distill":
+        argv += ["--teacher", str(teacher)]
+    for out in (blocker, blocker / "sub"):
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "is not a directory" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"keep"
+
+
 def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path):
     out = tmp_path / "e"
     assert main(["eval", "--manifest", str(data_dir / "manifest.json"),
@@ -464,6 +497,9 @@ def test_sweep_default_grid(data_dir, tmp_path, capsys):
     {"label": "x", "train": {"epochs": 4}},           # nested schema
     {"label": "x", "optimizer": {"beta1": 0.5}},      # not a run setting
     {"label": "x", "shot_spec": {"k": 1}},            # should be shots
+    {"label": "x", "warmup_steps": 0},                # removed settings
+    {"label": "x", "min_lr": 0.0},
+    {"label": "x", "train_fraction": 0.5},
 ])
 def test_sweep_unknown_entry_key_is_config_error(data_dir, tmp_path, capsys, entry):
     cfg = tmp_path / "sweep.json"
@@ -512,8 +548,8 @@ def test_sweep_entry_out_of_range_exits_2_before_any_run(data_dir, tmp_path,
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--lr", "0"), ("--lr", "-1"), ("--warmup-steps", "-1"),
-    ("--min-lr", "-1"), ("--epochs", "-1"),
+    ("--lr", "0"), ("--lr", "-1"), ("--shots", "0"),
+    ("--batch-size", "0"), ("--epochs", "-1"),
 ])
 def test_out_of_range_setting_exits_2_before_input_is_read(tmp_path, capsys,
                                                            flag, value):
@@ -539,6 +575,22 @@ def test_fraction_without_partial_init_exits_2_before_input_is_read(
         assert main(argv + ["--manifest", missing, "--out", str(out)]) == 2
         assert "only to partial init" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["warmup_steps", "min_lr", "train_fraction"])
+def test_removed_setting_fails_loudly(tmp_path, capsys, name):
+    missing = str(tmp_path / "missing.json")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--manifest", missing, "--out", str(out),
+              "--" + name.replace("_", "-"), "0"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"  # sweep entries: see the unknown-key test
+    write_json(cfg, {name: 0})
+    assert main(["train", "--manifest", missing, "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    assert f"unknown key {name!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
@@ -573,8 +625,9 @@ def test_wrongly_typed_value_is_config_error(data_dir, tmp_path, capsys):
 @pytest.mark.parametrize("argv, config", [
     pytest.param(["train", "--anchor-lambda", "nan"], None, id="anchor_lambda"),
     pytest.param(["train", "--lr", "inf"], None, id="lr"),
-    pytest.param(["train", "--min-lr", "nan"], None, id="min_lr"),
-    pytest.param(["train"], '{"train_fraction": -Infinity}', id="config"),
+    pytest.param(["train", "--label-smoothing", "nan"], None,
+                 id="label_smoothing"),
+    pytest.param(["train"], '{"anchor_lambda": -Infinity}', id="config"),
     pytest.param(["distill", "--distill-weight", "nan"], None,
                  id="distill_weight"),
     pytest.param(["distill"], '{"temperature": Infinity}', id="temperature"),

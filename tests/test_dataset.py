@@ -79,14 +79,6 @@ def test_kshot_insufficient_examples():
     assert exc.value.need == 2
 
 
-def test_fraction_mode_takes_ceil_per_class():
-    ds = _flat_ds(np.repeat(np.arange(2), 10), 2)
-    idx = sample_k_shot(ds, ShotSpec(fraction=0.25, seed=0))
-    assert len(idx) == 6  # ceil(0.25 * 10) per class
-    tiny = sample_k_shot(ds, ShotSpec(fraction=0.01, seed=0))
-    assert len(tiny) == 2  # never below one per class
-
-
 @given(st.integers(min_value=0, max_value=1 << 20), st.integers(min_value=1, max_value=6))
 @settings(max_examples=25, deadline=None)
 def test_kshot_is_class_stratified(seed, k):
@@ -98,15 +90,11 @@ def test_kshot_is_class_stratified(seed, k):
 
 def test_shot_spec_validation():
     with pytest.raises(ConfigError):
-        ShotSpec()  # neither
-    with pytest.raises(ConfigError):
-        ShotSpec(k=1, fraction=0.5)  # both
+        ShotSpec()  # k has no default
     with pytest.raises(ConfigError):
         ShotSpec(k=0)
-    with pytest.raises(ConfigError):
-        ShotSpec(fraction=0.0)
-    with pytest.raises(ConfigError):
-        ShotSpec(fraction=1.5)
+    with pytest.raises(TypeError):
+        ShotSpec(k=1, fraction=0.5)  # no fraction mode
 
 
 def test_dataset_validation():

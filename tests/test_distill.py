@@ -5,7 +5,7 @@ import pytest
 
 from cniprobe import benchmark
 from cniprobe.benchmark import DistillSpec, arm
-from cniprobe.dataset import ShotSpec, SynthSpec, make_synthetic
+from cniprobe.dataset import SynthSpec, make_synthetic
 from cniprobe.distill import distill_train, teacher_predict
 from cniprobe.errors import ConfigError, ShapeMismatch
 from cniprobe.headinit import HeadInitSpec, MODE_CNI, average_text_embeddings, init_head
@@ -74,13 +74,12 @@ def test_distillation_changes_the_run(setup):
 def test_labeled_batch_order_unchanged_by_distillation(setup):
     # same seed => the labeled shot subset is identical in both runs
     train_ds, test_ds, teacher, student0 = setup
-    spec = ShotSpec(k=2, seed=5)
     _, plain_hist = distill_train(
         teacher, student0.copy(), train_ds, None, test_ds,
-        _cfg(shot_spec=spec, loss=LossConfig(distill_weight=0.0)))
+        _cfg(shots=2, seed=5, loss=LossConfig(distill_weight=0.0)))
     _, dist_hist = distill_train(
         teacher, student0.copy(), train_ds, train_ds, test_ds,
-        _cfg(shot_spec=spec, loss=LossConfig(distill_weight=1.0)))
+        _cfg(shots=2, seed=5, loss=LossConfig(distill_weight=1.0)))
     assert plain_hist.records[0].loss_ce == dist_hist.records[0].loss_ce
 
 

@@ -149,7 +149,7 @@ def test_fuzzed_tensor_shape(base, case):
 @FUZZ
 @given(entries=st.lists(
     st.fixed_dictionaries({"label": JSON}, optional={
-        key: JSON for key in ("init", "fraction", "shots", "train_fraction",
+        key: JSON for key in ("init", "fraction", "shots", "batch_size",
                               "policy", "epochs", "lr", "label_smoothing",
                               "anchor_lambda", "seed", "eval_every", "bogus")})
     | JSON, max_size=3) | JSON)

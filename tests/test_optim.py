@@ -154,31 +154,37 @@ def test_gradient_shape_and_name_mismatches():
 # --- schedule -----------------------------------------------------------------
 
 def test_cosine_schedule_shape():
-    sched = (100, 1.0, 10, 0.1)  # total_steps, base_lr, warmup_steps, min_lr
-    assert cosine_lr(0, *sched) == 0.0
-    assert abs(cosine_lr(5, *sched) - 0.5) < 1e-12    # halfway up the warmup
-    assert abs(cosine_lr(10, *sched) - 1.0) < 1e-12   # warmup meets the peak
-    mid = cosine_lr(55, *sched)                       # cosine midpoint
-    assert abs(mid - (0.1 + 0.9 * 0.5)) < 1e-12
-    assert abs(cosine_lr(100, *sched) - 0.1) < 1e-12  # floor at the end
+    sched = (100, 2.0)  # total_steps, base_lr
+    assert cosine_lr(0, *sched) == 2.0                # the peak at the start
+    assert abs(cosine_lr(50, *sched) - 1.0) < 1e-12   # cosine midpoint
+    quarter = 1.0 + math.cos(math.pi / 4)
+    assert abs(cosine_lr(25, *sched) - quarter) < 1e-12
+    assert abs(cosine_lr(100, *sched)) < 1e-12        # zero at the end
+    # bit for bit the warmup-and-floor schedule it replaced, at warmup 0, floor 0
+    for total, base in ((1, 1e-3), (7, 5e-3), (200, 1e-3), (3200, 1e-3)):
+        for step in range(total + 1):
+            frac = (step - 0) / (total - 0)
+            old = 0.0 + (base - 0.0) * 0.5 * (1.0 + math.cos(math.pi * frac))
+            assert cosine_lr(step, total, base) == old
 
 
 def test_cosine_schedule_monotone_after_warmup():
-    values = [cosine_lr(s, 50, 2.0, 5, 0.0) for s in range(5, 51)]
+    # there is no warmup: the schedule falls from its first step
+    values = [cosine_lr(s, 50, 2.0) for s in range(51)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
 def test_cosine_schedule_no_warmup():
-    assert cosine_lr(0, 10, 1.0, 0, 0.0) == 1.0
-    assert abs(cosine_lr(10, 10, 1.0, 0, 0.0)) < 1e-12
+    assert cosine_lr(0, 10, 1.0) == 1.0
+    assert abs(cosine_lr(10, 10, 1.0)) < 1e-12
 
 
 def test_schedule_validation():
-    # the settings are checked by TrainConfig and train; the step range here
+    # the settings are checked by TrainConfig; the step range here
     with pytest.raises(ConfigError):
-        cosine_lr(11, 10, 1.0, 0, 0.0)
+        cosine_lr(11, 10, 1.0)
     with pytest.raises(ConfigError):
-        cosine_lr(-1, 10, 1.0, 0, 0.0)
+        cosine_lr(-1, 10, 1.0)
 
 
 def _textbook_step(state, params, grads, lr):

@@ -2,6 +2,9 @@
 updates these hashes and says why."""
 
 import hashlib
+import json
+
+import pytest
 
 from cniprobe.cli import main
 
@@ -53,17 +56,37 @@ PINNED = {
 }
 
 
-def test_synth_train_distill_outputs_are_pinned(tmp_path):
-    manifest = str(tmp_path / "data" / "manifest.json")
-    assert main(["synth", "--out", str(tmp_path / "data")] + SYNTH) == 0
+RUNS = ("L", "PL", "ALL", "distill")
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The root of one synth, L/PL/ALL train and distill-from-ALL chain."""
+    root = tmp_path_factory.mktemp("chain")
+    manifest = str(root / "data" / "manifest.json")
+    assert main(["synth", "--out", str(root / "data")] + SYNTH) == 0
     for policy in ("L", "PL", "ALL"):
         assert main(["train", "--manifest", manifest, "--policy", policy,
-                     "--out", str(tmp_path / policy)] + TRAIN) == 0
+                     "--out", str(root / policy)] + TRAIN) == 0
     assert main(["distill", "--manifest", manifest,
-                 "--teacher", str(tmp_path / "ALL"),
-                 "--out", str(tmp_path / "distill")] + TRAIN) == 0
-    hashes = {p.relative_to(tmp_path).as_posix():
+                 "--teacher", str(root / "ALL"),
+                 "--out", str(root / "distill")] + TRAIN) == 0
+    return root
+
+
+def test_synth_train_distill_outputs_are_pinned(chain):
+    hashes = {p.relative_to(chain).as_posix():
               hashlib.sha256(p.read_bytes()).hexdigest()
-              for p in tmp_path.rglob("*")
+              for p in chain.rglob("*")
               if p.suffix == ".cnit" or p.name == "metrics.csv"}
     assert hashes == PINNED
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_saved_run_scores_its_final_top1(chain, tmp_path, run):
+    # training scores float64 params in memory; eval reads the float32 files
+    assert main(["eval", "--manifest", str(chain / "data" / "manifest.json"),
+                 "--params", str(chain / run), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "eval.json").read_text())["report"]
+    summary = json.loads((chain / run / "summary.json").read_text())
+    assert report["top1"] == summary["final_top1"]

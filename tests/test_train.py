@@ -1,12 +1,10 @@
 """Training-loop contracts: freezing, determinism, history, sweeps."""
 
-import math
-
 import numpy as np
 import pytest
 
 import cniprobe.train as train_module
-from cniprobe.dataset import ShotSpec
+from cniprobe.dataset import ShotSpec, sample_k_shot
 from cniprobe.errors import ConfigError, NumericalError
 from cniprobe.evaluate import zero_shot
 from cniprobe.headinit import HeadInitSpec, MODE_CNI, MODE_RANDOM
@@ -90,8 +88,12 @@ def test_shot_spec_subsamples_training_data(tiny_problem, tiny_cni_params):
     train_ds, test_ds, _ = tiny_problem
     full, _ = train(tiny_cni_params.copy(), train_ds, test_ds, _cfg(seed=2))
     few, _ = train(tiny_cni_params.copy(), train_ds, test_ds,
-                   _cfg(seed=2, shot_spec=ShotSpec(k=1, seed=2)))
+                   _cfg(seed=2, shots=1))
     assert full.W.tobytes() != few.W.tobytes()
+    # the shots are sampled at the run seed
+    subset = train_ds.subset(sample_k_shot(train_ds, ShotSpec(k=1, seed=2)))
+    same, _ = train(tiny_cni_params.copy(), subset, test_ds, _cfg(seed=2))
+    assert same.W.tobytes() == few.W.tobytes()
 
 
 def test_anchor_pins_parameters_near_init(tiny_problem, tiny_cni_params):
@@ -137,24 +139,10 @@ def test_train_config_validation():
         TrainConfig(eval_every=0)
     with pytest.raises(ConfigError):
         TrainConfig(policy="everything")
-    for bad in (dict(base_lr=0.0), dict(base_lr=-1.0), dict(warmup_steps=-1),
-                dict(min_lr=-1.0)):
+    for bad in (dict(base_lr=0.0), dict(base_lr=-1.0), dict(shots=0),
+                dict(shots=-1)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
-
-
-def test_warmup_reaching_the_step_count_is_a_run_time_error(tiny_problem,
-                                                            tiny_cni_params):
-    # the step count depends on the data, so train checks it, once per run
-    train_ds, test_ds, bank = tiny_problem
-    steps = 2 * math.ceil(train_ds.num_examples / 4)  # 2 epochs of batch 4
-    with pytest.raises(ConfigError, match="warmup_steps must be < total_steps"):
-        train(tiny_cni_params, train_ds, test_ds, _cfg(epochs=2, warmup_steps=steps))
-    _, history = train(tiny_cni_params, train_ds, test_ds,
-                       _cfg(epochs=2, warmup_steps=steps - 1))
-    assert history.final.step == steps
-    row, = sweep(bank, train_ds, test_ds, _entries(1, epochs=2, warmup_steps=steps))
-    assert row.error == "ConfigError: warmup_steps must be < total_steps"
 
 
 # --- sweep --------------------------------------------------------------------
@@ -186,7 +174,7 @@ def test_sweep_order_and_error_capture(tiny_problem):
     entries = _entries(2)
     entries.insert(1, SweepEntry(
         label="boom", init=HeadInitSpec(mode=MODE_RANDOM, seed=1),
-        cfg=_cfg(shot_spec=ShotSpec(k=10**6, seed=0)),
+        cfg=_cfg(shots=10**6),
     ))
     rows = sweep(bank, train_ds, test_ds, entries)
     assert [r.label for r in rows] == ["e0", "boom", "e1"]
