@@ -414,6 +414,7 @@ def _write_lines(args, name: str, lines: list[str]) -> Path:
 
 
 def cmd_sweep(args) -> int:
+    _check_out(Path(args.out))
     entries = _sweep_entries(args.config, args.seed)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     rows = sweep(bank, train_ds, test_ds, entries)
@@ -432,6 +433,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_study(args) -> int:
+    _check_out(Path(args.out))
     _write_lines(args, "study.txt", benchmark.study(args.name, args.seeds))
     return 0
 

@@ -59,27 +59,26 @@ def trainable_names(policy: str) -> tuple[str, ...]:
     return TRAINABLE[policy]
 
 
-@dataclass
 class ModelParams:
-    """Trainable pipeline parameters."""
+    """Trainable parameters: A (D, D), a (D,), q (D,), W (C, D), b (C,),
+    views in that order of one float64 buffer ``flat`` that construction
+    copies them into. So each policy's trainable groups are a suffix of
+    ``flat``. Write into the groups; rebinding one detaches it."""
 
-    A: np.ndarray  # (D, D) adapter weight
-    a: np.ndarray  # (D,)   adapter bias
-    q: np.ndarray  # (D,)   pooler query
-    W: np.ndarray  # (C, D) head weight
-    b: np.ndarray  # (C,)   head bias
-
-    def __post_init__(self):
-        for name in TRAINABLE[POLICY_ALL]:
-            setattr(self, name, np.asarray(self.group(name), dtype=np.float64))
-        if self.A.ndim != 2 or self.W.ndim != 2:
+    def __init__(self, A, a, q, W, b):
+        groups = [np.asarray(g, dtype=np.float64) for g in (A, a, q, W, b)]
+        A, a, q, W, b = groups
+        if A.ndim != 2 or W.ndim != 2:
             raise ShapeMismatch("adapter and head weights must be matrices")
-        d = self.A.shape[0]
-        c = self.W.shape[0]
-        if self.A.shape != (d, d) or self.a.shape != (d,) or self.q.shape != (d,):
+        d, c = A.shape[0], W.shape[0]
+        if A.shape != (d, d) or a.shape != (d,) or q.shape != (d,):
             raise ShapeMismatch("adapter/pooler shapes inconsistent")
-        if self.W.shape != (c, d) or self.b.shape != (c,):
+        if W.shape != (c, d) or b.shape != (c,):
             raise ShapeMismatch("head shapes inconsistent with (C, D)")
+        self.flat = np.concatenate([g.reshape(-1) for g in groups])
+        views = np.split(self.flat, np.cumsum([g.size for g in groups[:-1]]))
+        self.A, self.a, self.q, self.W, self.b = (
+            v.reshape(g.shape) for v, g in zip(views, groups))
 
     @property
     def dim(self) -> int:
@@ -90,15 +89,10 @@ class ModelParams:
         return self.W.shape[0]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: self.group(name).copy()
-                              for name in TRAINABLE[POLICY_ALL]})
+        return ModelParams(*(self.group(name) for name in TRAINABLE[POLICY_ALL]))
 
     def group(self, name: str) -> np.ndarray:
         return getattr(self, name)
-
-    def trainable(self, policy: str) -> dict[str, np.ndarray]:
-        """The live arrays unlocked by ``policy`` (not copies)."""
-        return {name: getattr(self, name) for name in trainable_names(policy)}
 
 
 def init_params(head: Head) -> ModelParams:
@@ -112,13 +106,8 @@ def init_params(head: Head) -> ModelParams:
         raise ShapeMismatch(f"head weight of shape {np.shape(head.W)} "
                             "is not (C, D)")
     dim = head.W.shape[1]
-    return ModelParams(
-        A=np.eye(dim, dtype=np.float64),
-        a=np.zeros(dim, dtype=np.float64),
-        q=np.zeros(dim, dtype=np.float64),
-        W=np.asarray(head.W, dtype=np.float64).copy(),
-        b=np.asarray(head.b, dtype=np.float64).copy(),
-    )
+    return ModelParams(A=np.eye(dim), a=np.zeros(dim), q=np.zeros(dim),
+                       W=head.W, b=head.b)
 
 
 @dataclass
@@ -155,22 +144,23 @@ class ForwardCache:
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _unit(pooled: np.ndarray):
-    """Unit pooled rows and their norms; a zero norm raises."""
-    norms = np.linalg.norm(pooled, axis=1)
-    if np.any(norms < _POOL_EPS):
+    """Pooled rows made unit in place, and their norms; a zero norm raises."""
+    norms = np.sqrt(np.add.reduce(pooled * pooled, axis=1))  # np.linalg.norm
+    if (norms < _POOL_EPS).any():
         raise ZeroNormPooled("pooled embedding has zero norm")
-    return pooled / norms[:, None], norms
+    pooled /= norms[:, None]
+    return pooled, norms
 
 
 def _pool(p: ModelParams, adapted: np.ndarray):
@@ -338,19 +328,19 @@ def backward(
         g_logits += cfg.distill_weight * (student_tau - teacher) / (tau * batch)
 
     grads: dict[str, np.ndarray] = {}
-    grads["b"] = g_logits.sum(axis=0)
+    grads["b"] = np.add.reduce(g_logits, axis=0)
     grads["W"] = LOGIT_SCALE * (g_logits.T @ cache.pooled_unit)
 
     if policy != POLICY_L:
         # back through the normalization and the pooler
         d_unit = LOGIT_SCALE * (g_logits @ p.W)  # (B, D)
-        radial = (d_unit * cache.pooled_unit).sum(axis=1, keepdims=True)
+        radial = np.add.reduce(d_unit * cache.pooled_unit, axis=1, keepdims=True)
         d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
         if policy == POLICY_PL:
             d_attn = np.einsum("btd,bd->bt", cache.adapted, d_pool)
         else:  # <u_i, d_pool> less <a, d_pool>, which the softmax cancels
             d_attn = np.einsum("btd,bd->bt", rows, d_pool @ p.A)
-        inner = (cache.attn * d_attn).sum(axis=1, keepdims=True)
+        inner = np.add.reduce(cache.attn * d_attn, axis=1, keepdims=True)
         d_scores = cache.attn * (d_attn - inner)
         sqrt_d = math.sqrt(p.dim)
         if policy == POLICY_PL:
@@ -359,7 +349,7 @@ def backward(
             s = np.einsum("bt,btd->d", d_scores, rows) / sqrt_d
             grads["q"] = p.A @ s
             grads["A"] = d_pool.T @ cache.tbar + p.q[:, None] * s
-            grads["a"] = d_pool.sum(axis=0)
+            grads["a"] = np.add.reduce(d_pool, axis=0)
 
     if anchor is not None and cfg.anchor_lambda > 0.0:
         for name in anchor:

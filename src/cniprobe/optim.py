@@ -8,16 +8,20 @@ rate, normally from ``cosine_lr``. Updates are RMS-clipped at
 (``WEIGHT_DECAY``) is decoupled: applied to the weights, never folded
 into gradients. The second-moment decay is ``1 - t^-0.8`` capped at
 ``BETA2``, and ``EPS1`` is added to every squared gradient.
+
+A step makes one numpy call per elementwise operation over the whole
+trainable suffix of ``ModelParams.flat``, and keeps the order of every
+sum of a group-by-group step, so the bytes are the same.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatch
+from .model import TRAINABLE, ModelParams
 
 BETA1 = 0.9
 BETA2 = 0.999
@@ -33,79 +37,80 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * (step / total_steps)))
 
 
-@dataclass
 class AdafactorState:
-    """Second-moment and momentum accumulators, keyed by parameter name."""
+    """Buffers over the trainable suffix, sized by the first step: ``mom``,
+    ``vhat`` (a vector's span is its second moment, a matrix's is rebuilt
+    from its ``factors``) and scratch. One reduction over the stacked rows
+    of D from the first matrix to the last gives ``rows``, the row mean
+    squares; for ALL, the rows of a and q ride along unused."""
 
-    step: int = 0
-    row: dict = field(default_factory=dict)   # matrices: row mean squares
-    col: dict = field(default_factory=dict)   # matrices: column mean squares
-    full: dict = field(default_factory=dict)  # vectors: full second moment
-    mom: dict = field(default_factory=dict)   # first moment
+    def __init__(self):
+        self.step = 0
+        self.layout = None  # [(name, shape)] of the groups stepped
 
-    def _ensure(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        m = self.mom.get(name)
-        if m is not None:
-            return m
-        if len(shape) == 2:
-            self.row[name] = np.zeros(shape[0])
-            self.col[name] = np.zeros(shape[1])
-        elif len(shape) == 1:
-            self.full[name] = np.zeros(shape)
-        else:
-            raise ShapeMismatch(f"unsupported parameter rank {len(shape)}")
-        m = self.mom[name] = np.zeros(shape)
-        return m
+    def _start(self, params: ModelParams, names: tuple[str, ...]) -> None:
+        if names not in TRAINABLE.values():
+            raise ShapeMismatch(f"gradients {names} are not a policy's groups")
+        groups = [params.group(n) for n in names]
+        self.layout = [(n, g.shape) for n, g in zip(names, groups)]
+        ends = np.cumsum([g.size for g in groups]).tolist()
+        spans = [slice(end - g.size, end) for g, end in zip(groups, ends)]
+        self.update, self.sq, self.sq_update, self.mom, self.vhat = np.zeros((5, ends[-1]))
+        self.clip = [(self.update[s], self.sq_update[s]) for s in spans]
+        matrices = {n: s for n, g, s in zip(names, groups, spans) if g.ndim == 2}
+        width, first = params.dim, min(s.start for s in matrices.values())
+        last = max(s.stop for s in matrices.values())
+        self.rows = np.zeros((last - first) // width)
+        self.stacked_sq = self.sq[first:last].reshape(-1, width)
+        self.factors = {  # name -> (row, column mean squares, spans of sq, vhat)
+            n: (self.rows[(s.start - first) // width:(s.stop - first) // width],
+                np.zeros(width), self.sq[s].reshape(-1, width),
+                self.vhat[s].reshape(-1, width))
+            for n, s in matrices.items()}
 
 
-def adafactor_step(
-    state: AdafactorState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    lr: float,
-) -> None:
-    """One optimizer step, mutating ``params`` arrays in place.
+def adafactor_step(state: AdafactorState, params: ModelParams,
+                   grads: dict[str, np.ndarray], lr: float) -> None:
+    """One optimizer step, mutating ``params.flat`` in place.
 
-    Parameters without a gradient entry are left untouched — that is
-    the freezing mechanism, so their bytes never change. Means are
-    ``sum / n``, as numpy computes ``mean``, to skip its call overhead.
-    """
+    ``grads`` holds one policy's groups in buffer order, as ``backward``
+    returns them; the others are never touched, which is how a policy
+    freezes them. The column sums and the RMS clip run group by group, as
+    ``np.add.reduceat`` would move their bits. A mean is ``sum / n``."""
+    layout = [(n, g.shape) for n, g in grads.items()]
+    if state.layout is None:
+        state._start(params, tuple(grads))
+    if layout != state.layout:
+        raise ShapeMismatch(f"gradients {layout} do not fit {state.layout}")
     state.step += 1
     b2 = min(BETA2, 1.0 - math.pow(state.step, -0.8))  # 1 - t^-0.8, capped
     new2, new1 = 1.0 - b2, 1.0 - BETA1
-    decay = 1.0 - lr * WEIGHT_DECAY
-    for name, grad in grads.items():
-        p = params.get(name)
-        if p is None:
-            raise ShapeMismatch(f"gradient for unknown parameter {name!r}")
-        if grad.shape != p.shape:
-            raise ShapeMismatch(
-                f"gradient shape {grad.shape} != parameter shape {p.shape}"
-            )
-        m = state._ensure(name, p.shape)
 
-        sq = grad * grad + EPS1
-        if p.ndim == 2:
-            r, c = state.row[name], state.col[name]
-            rows, cols = sq.shape
-            r *= b2
-            r += new2 * (sq.sum(axis=1) / cols)
-            c *= b2
-            c += new2 * (sq.sum(axis=0) / rows)
-            vhat = (r / (r.sum() / rows))[:, None] * c
-        else:
-            v = state.full[name]
-            v *= b2
-            v += new2 * sq
-            vhat = v
-        update = grad / np.sqrt(vhat)
+    update, sq, vhat = state.update, state.sq, state.vhat
+    np.concatenate([g.reshape(-1) for g in grads.values()], out=update)
+    np.multiply(update, update, out=sq)
+    sq += EPS1
+    vhat *= b2
+    vhat += new2 * sq
+    r = state.rows
+    r *= b2
+    r += new2 * (np.add.reduce(state.stacked_sq, axis=1) / params.dim)
+    for rm, c, sq_m, vhat_m in state.factors.values():
+        n = rm.size
+        c *= b2
+        c += new2 * (np.add.reduce(sq_m, axis=0) / n)
+        np.multiply((rm / (np.add.reduce(rm) / n))[:, None], c, out=vhat_m)
+    update /= np.sqrt(vhat)
 
-        rms = math.sqrt(float((update * update).sum()) / update.size)
+    np.multiply(update, update, out=state.sq_update)
+    for u, sq_u in state.clip:
+        rms = math.sqrt(float(np.add.reduce(sq_u)) / u.size)
         if rms > CLIP_THRESHOLD:  # else max(1, rms / clip) is 1
-            update /= rms / CLIP_THRESHOLD
+            u /= rms / CLIP_THRESHOLD
 
-        m *= BETA1
-        m += new1 * update
-
-        p *= decay
-        p -= lr * m
+    m = state.mom
+    m *= BETA1
+    m += new1 * update
+    p = params.flat[params.flat.size - m.size:]
+    p *= 1.0 - lr * WEIGHT_DECAY  # decoupled decay
+    p -= lr * m

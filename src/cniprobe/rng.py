@@ -7,7 +7,7 @@ implementations in other languages:
 * seeding / substream derivation: splitmix64,
 * the stream itself: xorshift64* (Vigna's multiplier),
 * shuffling: Fisher-Yates from the top index down, with rejection
-  sampling for unbiased bounded draws,
+  sampling for unbiased bounded draws (drawn in bulk, same draws),
 * uniforms: top 53 bits mapped to (0, 1],
 * gaussians: Box-Muller on those uniforms, pairs cached.
 
@@ -16,7 +16,8 @@ implementations in other languages:
 over GF(2), with M the step as a 64x64 bit matrix. So after ``_HEAD``
 scalar steps, the k states in hand jump ahead by M^k at once through
 eight byte tables, doubling until there are enough; the table of M^2k
-is that of M^k applied to itself (Haramoto et al. 2008). The multiply,
+is that of M^k applied to itself (Haramoto et al. 2008). ``shuffle``
+takes its n-1 draws the same way, through ``_draws``. The multiply,
 shift, square root and products are exact in numpy; ``log``, ``cos``
 and ``sin`` stay on ``math`` (the C library), because numpy's SIMD
 float64 ``log`` does not round every input as ``math.log`` does.
@@ -120,8 +121,8 @@ class Stream:
         self._spare_gaussian = r * math.sin(theta)
         return r * math.cos(theta)
 
-    def _uniforms(self, m: int) -> np.ndarray:
-        """m calls of ``uniform()`` as an array; see the module docstring."""
+    def _draws(self, m: int) -> np.ndarray:
+        """m calls of ``next_u64()`` as uint64; see the module docstring."""
         x, head = self._state, []
         for _ in range(min(m, _HEAD)):
             x = _step(x)
@@ -131,8 +132,7 @@ class Stream:
             states = np.concatenate([states, _jump(_jump_table(k), states[:m - k])])
         if m:
             self._state = int(states[-1])
-        out = states * np.uint64(_XORSHIFT_MULT)
-        return ((out >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+        return states * np.uint64(_XORSHIFT_MULT)
 
     def gaussians(self, n: int) -> np.ndarray:
         """n calls of ``gaussian()`` in bulk, bit for bit."""
@@ -141,7 +141,8 @@ class Stream:
         if n and self._spare_gaussian is not None:
             out[0], self._spare_gaussian = self._spare_gaussian, None
             start = 1
-        u = self._uniforms(2 * ((n - start + 1) // 2))
+        u = self._draws(2 * ((n - start + 1) // 2))
+        u = ((u >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53  # as uniform()
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float))
         theta = (2.0 * math.pi * u[1::2]).tolist()
         z = np.empty(len(u), dtype=np.float64)
@@ -174,22 +175,21 @@ class Stream:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates: i runs from len-1 down to 1, j = draw(i+1).
 
-        ``next_below`` and ``next_u64`` are inlined (keep ``_step`` in sync):
-        same draws and state.
-        """
-        x, mask, mult = self._state, _MASK64, _XORSHIFT_MULT
-        top = (1 << 64) - len(items)  # below every bound's rejection limit
-        for n in range(len(items), 1, -1):
-            while True:
-                x ^= x >> 12
-                x = (x ^ (x << 25)) & mask
-                x ^= x >> 27
-                u = (x * mult) & mask
-                if u < top or u < (1 << 64) - (1 << 64) % n:
-                    break
-            j = u % n
-            items[n - 1], items[j] = items[j], items[n - 1]
-        self._state = x
+        The draws and final state are those of ``next_below``: the len-1
+        draws come from ``_draws`` at once, and if one is not below 2^64 -
+        len, so below every bound's rejection limit, the stream rewinds and
+        draws one by one."""
+        n, start = len(items), self._state
+        if n < 2:
+            return
+        draws = self._draws(n - 1)
+        if (draws >= np.uint64((1 << 64) - n)).any():
+            self._state = start
+            js = [self.next_below(bound) for bound in range(n, 1, -1)]
+        else:
+            js = (draws % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
+            items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))

@@ -130,7 +130,6 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
     policy, loss_cfg = cfg.policy, cfg.loss
     anchor = {name: params0.group(name).copy()
               for name in trainable_names(policy)}
-    trainable = params.trainable(policy)
 
     # The groups the policy freezes never change, so each set's prefix
     # rows, its smoothed targets and the teacher rows are built once.
@@ -153,7 +152,7 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
                                        None, params, None, loss_cfg, pool_teacher)
             parts["distill"] = pool_parts["distill"]
         if not (all(map(math.isfinite, parts.values()))
-                and all(np.isfinite(g).all() for g in trainable.values())):
+                and np.isfinite(params.flat).all()):
             raise NumericalError(f"training diverged by epoch {epoch}: "
                                  "non-finite loss or parameters")
         return MetricRecord(
@@ -169,9 +168,9 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
     step = 0
     lr = 0.0
     for epoch in range(1, cfg.epochs + 1):
-        order = shuffle.permutation(n)
+        order = np.array(shuffle.permutation(n), dtype=np.int64)
         for lo in range(0, n, cfg.batch_size):
-            batch = np.asarray(order[lo:lo + cfg.batch_size], dtype=np.int64)
+            batch = order[lo:lo + cfg.batch_size]
             step += 1
             lr = cosine_lr(step, *schedule)
             grads = backward(params, rows[batch], targets[batch], anchor,
@@ -182,7 +181,7 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
                                  loss_cfg, policy, teacher=pool_teacher[idx])
                 for name in grads:
                     grads[name] = grads[name] + extra[name]
-            adafactor_step(state, trainable, grads, lr)
+            adafactor_step(state, params, grads, lr)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             history.append(evaluate(epoch, step, lr))
     return params, history

@@ -395,6 +395,25 @@ def test_out_that_cannot_be_a_directory_fails_before_the_run(
     assert blocker.read_bytes() == b"keep"
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--manifest", "MANIFEST"],
+                                  ["study", "inits", "--seeds", "1"]])
+def test_sweep_and_study_check_out_before_any_run(data_dir, tmp_path, capsys,
+                                                 monkeypatch, argv):
+    def no_run(*args):
+        raise AssertionError("a run started before --out was checked")
+
+    monkeypatch.setattr(cli.benchmark, "fit", no_run)
+    monkeypatch.setattr(cli, "sweep", no_run)
+    argv = [str(data_dir / "manifest.json") if a == "MANIFEST" else a
+            for a in argv]
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"keep")
+    for out in (blocker, blocker / "sub"):
+        assert main(argv + ["--out", str(out)]) == 3, argv[0]
+        assert "is not a directory" in capsys.readouterr().err
+    assert blocker.read_bytes() == b"keep"
+
+
 def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path):
     out = tmp_path / "e"
     assert main(["eval", "--manifest", str(data_dir / "manifest.json"),

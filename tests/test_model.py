@@ -22,6 +22,7 @@ from cniprobe.errors import (
 from cniprobe.headinit import Head
 from cniprobe.model import (
     LOGIT_SCALE,
+    TRAINABLE,
     LossConfig,
     ModelParams,
     backward,
@@ -489,8 +490,46 @@ def test_params_copy_is_deep(rng):
     assert p.W[0, 0] != q.W[0, 0]
 
 
-def test_trainable_returns_live_views(rng):
+def test_groups_are_views_of_one_buffer(rng):
+    p = random_params(rng, c=3, d=4)
+    assert p.flat.shape == (4 * 4 + 4 + 4 + 3 * 4 + 3,)
+    np.testing.assert_array_equal(
+        p.flat, np.concatenate([p.group(n).ravel() for n in TRAINABLE["ALL"]]))
+    p.flat[:] = np.arange(p.flat.size)
+    assert p.A[0, 1] == 1.0 and p.a[0] == 16.0 and p.b[-1] == p.flat.size - 1
+    p.W[0, 0] = -1.0  # and writes through a group reach the buffer
+    assert p.flat[4 * 4 + 4 + 4] == -1.0
+
+
+def test_copy_shares_no_memory(rng):
     p = random_params(rng)
-    live = p.trainable("L")
-    live["W"][0, 0] = 123.0
-    assert p.W[0, 0] == 123.0
+    q = p.copy()
+    assert q.flat.tobytes() == p.flat.tobytes()
+    for name in TRAINABLE["ALL"]:
+        assert not np.shares_memory(q.group(name), p.flat)
+    q.flat += 1.0
+    assert not np.array_equal(q.flat, p.flat)
+
+
+@pytest.mark.parametrize("policy", ["L", "PL", "ALL"])
+def test_trainable_groups_are_a_suffix_of_the_buffer(rng, policy):
+    p = random_params(rng)
+    groups = [p.group(name) for name in TRAINABLE[policy]]
+    size = sum(g.size for g in groups)
+    suffix = p.flat[p.flat.size - size:]
+    assert suffix.tobytes() == b"".join(g.tobytes() for g in groups)
+    for g in groups:
+        assert np.shares_memory(g, suffix)
+    frozen = p.flat[:p.flat.size - size]
+    assert not any(np.shares_memory(g, frozen) for g in groups)
+
+
+def test_params_construction_copies_its_arrays(rng):
+    given = {"A": np.eye(2), "a": np.zeros(2), "q": np.ones(2),
+             "W": np.ones((3, 2)), "b": np.zeros(3)}
+    p = ModelParams(**given)
+    for arr in given.values():
+        assert not np.shares_memory(arr, p.flat)
+        arr += 5.0
+    np.testing.assert_array_equal(p.A, np.eye(2))
+    np.testing.assert_array_equal(p.W, np.ones((3, 2)))

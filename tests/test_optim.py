@@ -1,12 +1,18 @@
-"""Adafactor and cosine-schedule tests against straight-line references."""
+"""Adafactor and cosine-schedule tests against straight-line references.
+
+The optimizer steps a ``ModelParams`` buffer; gradients name one freezing
+policy's groups, a suffix of the buffer's A, a, q, W, b.
+"""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cniprobe.errors import ConfigError, ShapeMismatch
+from cniprobe.model import TRAINABLE, ModelParams
 from cniprobe.optim import (
     BETA1,
     BETA2,
@@ -19,13 +25,19 @@ from cniprobe.optim import (
 )
 
 
+def make_params(c=2, d=2, rng=None, **groups):
+    """Zero groups of C classes and D dims, random with `rng`, or as given."""
+    shapes = {"A": (d, d), "a": (d,), "q": (d,), "W": (c, d), "b": (c,)}
+    draw = (lambda s: rng.normal(size=s)) if rng is not None else np.zeros
+    return ModelParams(**{n: groups.get(n, draw(s)) for n, s in shapes.items()})
+
+
 def test_vector_single_step_straight_line():
     # hand-computed first step
-    p = np.array([2.0, -1.0])
+    p = make_params(b=np.array([2.0, -1.0]))
     g = np.array([0.3, 0.0])
-    params, grads = {"v": p}, {"v": g.copy()}
     state = AdafactorState()
-    adafactor_step(state, params, grads, lr=0.01)
+    adafactor_step(state, p, {"W": np.zeros((2, 2)), "b": g.copy()}, lr=0.01)
 
     b2 = min(0.999, 1.0 - 1.0 ** -0.8)  # = 0 on the first step
     assert b2 == 0.0
@@ -34,16 +46,15 @@ def test_vector_single_step_straight_line():
     u = u / max(1.0, math.sqrt(float(np.mean(u * u))) / 1.0)
     m = 0.1 * u
     expect = np.array([2.0, -1.0]) * (1.0 - 0.01 * 0.01) - 0.01 * m
-    np.testing.assert_allclose(params["v"], expect, atol=1e-10)
+    np.testing.assert_allclose(p.b, expect, atol=1e-10)
 
 
 def test_matrix_single_step_factored_reference():
     # zero weights: decoupled decay leaves them zero
     g = np.array([[0.5, -0.2], [0.1, 0.4]])
-    p = np.zeros((2, 2))
-    params, grads = {"m": p}, {"m": g.copy()}
+    p = make_params()
     state = AdafactorState()
-    adafactor_step(state, params, grads, lr=0.1)
+    adafactor_step(state, p, {"W": g.copy(), "b": np.ones(2)}, lr=0.1)
 
     sq = g * g + 1e-30
     r = sq.mean(axis=1)   # first step: beta2_hat = 0
@@ -51,58 +62,71 @@ def test_matrix_single_step_factored_reference():
     vhat = (r / r.mean())[:, None] * c[None, :]
     u = g / np.sqrt(vhat)
     u /= max(1.0, math.sqrt(float(np.mean(u * u))))
-    np.testing.assert_allclose(params["m"], -0.1 * (0.1 * u), atol=1e-10)
+    np.testing.assert_allclose(p.W, -0.1 * (0.1 * u), atol=1e-10)
 
 
 def test_factored_state_memory_layout():
+    p = make_params(c=5, d=7)
     state = AdafactorState()
-    params = {"m": np.zeros((5, 7)), "v": np.zeros(6)}
-    grads = {"m": np.ones((5, 7)), "v": np.ones(6)}
-    adafactor_step(state, params, grads, lr=0.01)
-    assert state.row["m"].shape == (5,)
-    assert state.col["m"].shape == (7,)
-    assert "m" not in state.full
-    assert state.full["v"].shape == (6,)
-    assert "v" not in state.row
+    grads = {"W": np.ones((5, 7)), "b": np.ones(5)}
+    adafactor_step(state, p, grads, lr=0.01)
+    # the matrix keeps n + m second-moment values, the vector all of its own
+    assert [(r.shape, c.shape) for r, c, *_ in state.factors.values()] == \
+        [((5,), (7,))]
+    assert state.rows.size == 5
+    assert "b" not in state.factors
+    assert state.vhat.shape == state.mom.shape == (5 * 7 + 5,)
+    np.testing.assert_array_equal(state.vhat[35:], np.ones(5) + EPS1)
+    # under ALL the rows of a and q, between A and W, ride in the row buffer
+    state = AdafactorState()
+    grads = {n: np.ones(p.group(n).shape) for n in TRAINABLE["ALL"]}
+    adafactor_step(state, p, grads, lr=0.01)
+    assert {n: (r.size, c.size) for n, (r, c, *_) in state.factors.items()} == \
+        {"A": (7, 7), "W": (5, 7)}
+    assert state.rows.size == 7 + 2 + 5
+    assert np.shares_memory(state.factors["W"][0], state.rows[9:])
 
 
 def test_missing_gradient_entry_freezes_param():
     # the training loop freezes groups by omitting their gradient entries
-    frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
-    params = {"hot": np.ones(2), "cold": frozen}
-    before = frozen.tobytes()
-    state = AdafactorState()
-    for _ in range(10):
-        adafactor_step(state, params, {"hot": np.ones(2)}, lr=0.05)
-    assert params["cold"].tobytes() == before
-    assert not np.array_equal(params["hot"], np.ones(2))
+    for policy in ("L", "PL"):
+        p = make_params(c=3, d=2, rng=np.random.default_rng(0))
+        hot = TRAINABLE[policy]
+        before = {n: p.group(n).copy() for n in TRAINABLE["ALL"]}
+        state = AdafactorState()
+        for _ in range(10):
+            adafactor_step(state, p, {n: np.ones(p.group(n).shape) for n in hot},
+                           lr=0.05)
+        for name in TRAINABLE["ALL"]:
+            same = p.group(name).tobytes() == before[name].tobytes()
+            assert same == (name not in hot), (policy, name)
 
 
 def test_decay_only_shrinks_geometrically():
     assert WEIGHT_DECAY == 0.01
     p0 = np.array([4.0, -8.0])
-    params = {"v": p0.copy()}
+    p = make_params(b=p0)
     state = AdafactorState()
     for _ in range(3):
-        adafactor_step(state, params, {"v": np.zeros(2)}, lr=0.1)
-    np.testing.assert_allclose(params["v"], p0 * (1 - 0.1 * 0.01) ** 3,
-                               atol=1e-12)
+        adafactor_step(state, p, {"W": np.zeros((2, 2)), "b": np.zeros(2)},
+                       lr=0.1)
+    np.testing.assert_allclose(p.b, p0 * (1 - 0.1 * 0.01) ** 3, atol=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=1 << 16), st.integers(min_value=1, max_value=8))
 @settings(max_examples=30, deadline=None)
 def test_update_rms_bounded_by_lr(seed, steps):
     rng = np.random.default_rng(seed)
-    params = {"m": rng.normal(size=(3, 4)), "v": rng.normal(size=5)}
+    p = make_params(c=3, d=4, rng=rng)
     state = AdafactorState()
     lr = 0.07
     for _ in range(steps):
-        before = {k: v.copy() for k, v in params.items()}
-        grads = {"m": rng.normal(size=(3, 4)) * 10.0 ** float(rng.integers(-3, 3)),
-                 "v": rng.normal(size=5)}
-        adafactor_step(state, params, grads, lr=lr)
-        for k in params:
-            delta = params[k] - before[k]
+        before = {n: p.group(n).copy() for n in TRAINABLE["ALL"]}
+        grads = {n: rng.normal(size=p.group(n).shape)
+                 * 10.0 ** float(rng.integers(-3, 3)) for n in TRAINABLE["ALL"]}
+        adafactor_step(state, p, grads, lr=lr)
+        for k in before:
+            delta = p.group(k) - before[k]
             rms = math.sqrt(float(np.mean(delta * delta)))
             # delta = -lr * (m + WEIGHT_DECAY * before): the clipped update
             # RMS <= 1, momentum is a convex average, and decay adds its part
@@ -111,44 +135,57 @@ def test_update_rms_bounded_by_lr(seed, steps):
 
 
 def test_second_moment_accumulates_across_steps():
-    params = {"v": np.zeros(1)}
+    p = make_params(c=1)
     state = AdafactorState()
-    adafactor_step(state, params, {"v": np.array([1.0])}, lr=0.0)
+
+    def step(b):
+        adafactor_step(state, p, {"W": np.zeros((1, 2)), "b": np.array([b])},
+                       lr=0.0)
+        return state.vhat[-1:]  # b's span: its full second moment
+
     # t=1: beta2_hat = min(BETA2, 0) = 0 -> v = 1
-    np.testing.assert_allclose(state.full["v"], [1.0], atol=1e-12)
-    adafactor_step(state, params, {"v": np.array([3.0])}, lr=0.0)
+    np.testing.assert_allclose(step(1.0), [1.0], atol=1e-12)
     # t=2: the schedule term 1 - 2^-0.8 (~0.426) sits below the cap
     b2 = 1.0 - 2.0 ** -0.8
     v2 = b2 * 1.0 + (1 - b2) * 9.0
-    np.testing.assert_allclose(state.full["v"], [v2], atol=1e-9)
+    np.testing.assert_allclose(step(3.0), [v2], atol=1e-9)
     # t=10000: 1 - t^-0.8 (~0.9994) is above the cap, so BETA2 applies
     state.step = 9999
-    adafactor_step(state, params, {"v": np.array([2.0])}, lr=0.0)
-    np.testing.assert_allclose(state.full["v"], [BETA2 * v2 + (1 - BETA2) * 4.0],
+    np.testing.assert_allclose(step(2.0), [BETA2 * v2 + (1 - BETA2) * 4.0],
                                atol=1e-9)
 
 
 def test_step_counter_shared_across_params():
     state = AdafactorState()
-    params = {"a": np.zeros(2), "b": np.zeros(2)}
-    grads = {"a": np.ones(2), "b": np.ones(2)}
-    adafactor_step(state, params, grads, lr=0.01)
+    p = make_params()
+    adafactor_step(state, p, {"q": np.ones(2), "W": np.ones((2, 2)),
+                              "b": np.ones(2)}, lr=0.01)
     assert state.step == 1
 
 
 def test_rank3_parameter_rejected():
     state = AdafactorState()
     with pytest.raises(ShapeMismatch):
-        adafactor_step(state, {"t": np.zeros((2, 2, 2))},
-                       {"t": np.ones((2, 2, 2))}, lr=0.1)
+        adafactor_step(state, make_params(), {"W": np.ones((2, 2, 1)),
+                                              "b": np.ones(2)}, lr=0.1)
 
 
 def test_gradient_shape_and_name_mismatches():
+    p = make_params()
+    w = np.ones((2, 2))
+    for grads in ({"W": w, "b": np.ones(3)},                 # wrong shape
+                  {"W": w, "w": np.ones(2)},                 # unknown group
+                  {"b": np.ones(2)}, {"W": w},               # no policy's
+                  {"A": np.eye(2), "b": np.ones(2)},
+                  {"b": np.ones(2), "W": w},                 # out of order
+                  {}):
+        with pytest.raises(ShapeMismatch):
+            adafactor_step(AdafactorState(), p, grads, lr=0.1)
     state = AdafactorState()
-    with pytest.raises(ShapeMismatch):
-        adafactor_step(state, {"v": np.zeros(3)}, {"v": np.ones(4)}, lr=0.1)
-    with pytest.raises(ShapeMismatch):
-        adafactor_step(state, {"v": np.zeros(3)}, {"w": np.ones(3)}, lr=0.1)
+    adafactor_step(state, p, {"W": w, "b": np.ones(2)}, lr=0.1)
+    with pytest.raises(ShapeMismatch):  # the state is sized for its groups
+        adafactor_step(state, p, {"q": np.ones(2), "W": w, "b": np.ones(2)},
+                       lr=0.1)
 
 
 # --- schedule -----------------------------------------------------------------
@@ -188,7 +225,8 @@ def test_schedule_validation():
 
 
 def _textbook_step(state, params, grads, lr):
-    """The step with ``np.mean`` and ``max(1, rms)`` written out: the reference."""
+    """The step group by group, with ``np.mean`` and ``max(1, rms)``
+    written out and dict-keyed moments: the reference."""
     state.step += 1
     b2 = min(BETA2, 1.0 - math.pow(state.step, -0.8))
     for name, grad in grads.items():
@@ -224,19 +262,25 @@ def _textbook_step(state, params, grads, lr):
 
 
 def test_step_equals_textbook_reference_bit_for_bit():
-    rng = np.random.default_rng(3)
-    shapes = {"A": (8, 8), "W": (10, 8), "q": (8,), "b": (10,)}
-    params = {n: rng.normal(size=s) for n, s in shapes.items()}
-    ref = {n: p.copy() for n, p in params.items()}
-    state, ref_state = AdafactorState(), AdafactorState()
-    for step in range(1, 41):
-        grads = {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)
-                 for n, s in shapes.items()}
-        lr = 1e-3 / step
-        adafactor_step(state, params, grads, lr)
-        _textbook_step(ref_state, ref, grads, lr)
-    for n in shapes:
-        assert params[n].tobytes() == ref[n].tobytes()
-        assert state.mom[n].tobytes() == ref_state.mom[n].tobytes()
-    assert state.row["W"].tobytes() == ref_state.row["W"].tobytes()
-    assert state.col["A"].tobytes() == ref_state.col["A"].tobytes()
+    for policy in ("ALL", "PL", "L"):
+        rng = np.random.default_rng(3)
+        params = make_params(c=10, d=8, rng=rng)
+        names = TRAINABLE[policy]
+        ref = {n: params.group(n).copy() for n in TRAINABLE["ALL"]}
+        state = AdafactorState()
+        ref_state = SimpleNamespace(step=0, mom={}, row={}, col={}, full={})
+        for step in range(1, 41):
+            grads = {n: rng.normal(size=ref[n].shape) * 10.0 ** rng.integers(-6, 3)
+                     for n in names}
+            lr = 1e-3 / step
+            adafactor_step(state, params, grads, lr)
+            _textbook_step(ref_state, ref, grads, lr)
+        for n in TRAINABLE["ALL"]:
+            assert params.group(n).tobytes() == ref[n].tobytes(), (policy, n)
+        mom = np.concatenate([ref_state.mom[n].ravel() for n in names])
+        assert state.mom.tobytes() == mom.tobytes(), policy
+        for n, (r, c, *_) in state.factors.items():
+            assert r.tobytes() == ref_state.row[n].tobytes(), (policy, n)
+            assert c.tobytes() == ref_state.col[n].tobytes(), (policy, n)
+        lo = state.vhat.size - ref_state.full["b"].size
+        assert state.vhat[lo:].tobytes() == ref_state.full["b"].tobytes()

@@ -3,10 +3,18 @@ updates these hashes and says why."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
+from cniprobe.benchmark import (DISTILL_TEMPERATURE, DISTILL_WEIGHT,
+                                default_train_config, make_benchmark)
 from cniprobe.cli import main
+from cniprobe.distill import distill_train
+from cniprobe.headinit import (MODE_CNI, HeadInitSpec, average_text_embeddings,
+                               init_head)
+from cniprobe.model import TRAINABLE, LossConfig, init_params
+from cniprobe.train import train
 
 SYNTH = ["--classes", "3", "--dim", "8", "--tokens", "2",
          "--train-per-class", "6", "--test-per-class", "6",
@@ -90,3 +98,38 @@ def test_saved_run_scores_its_final_top1(chain, tmp_path, run):
     report = json.loads((tmp_path / "eval.json").read_text())["report"]
     summary = json.loads((chain / run / "summary.json").read_text())
     assert report["top1"] == summary["final_top1"]
+
+
+# sha256 of the history CSV and the parameter bytes of two runs at the
+# benchmark's shapes (D=32, C=10, batches of 32): a 3-epoch ALL teacher
+# on all 500 training examples (48 steps, three permutations of 500) and
+# a distilled 1-shot student of it, whose pool batches span two of them.
+BENCH_SHAPE_PINS = {
+    "teacher": "444c29011f901bcfc435e645c193aec57e2a7387262e1bdea1bf3c6576a4e9cb",
+    "student": "357d74a8fa482c3cbf4b7dc57f100ad7b00bf204502af3fdad8f1456623eaaaa",
+}
+
+
+def _run_digest(params, history) -> str:
+    h = hashlib.sha256(history.to_csv().encode())
+    for name in TRAINABLE["ALL"]:
+        h.update(params.group(name).tobytes())
+    return h.hexdigest()
+
+
+def test_benchmark_shape_teacher_and_student_are_pinned():
+    train_ds, test_ds, bank = make_benchmark(1)
+    start = init_params(init_head(HeadInitSpec(mode=MODE_CNI),
+                                  average_text_embeddings(bank),
+                                  bank.num_classes, bank.dim))
+    teacher, t_hist = train(start, train_ds, test_ds, default_train_config(
+        MODE_CNI, 1, policy="ALL", epochs=3, eval_every=1))
+    cfg = default_train_config(MODE_CNI, 1, shots=1, policy="ALL",
+                               epochs=20, eval_every=5)
+    cfg = replace(cfg, loss=LossConfig(distill_weight=DISTILL_WEIGHT,
+                                       distill_temperature=DISTILL_TEMPERATURE))
+    student, s_hist = distill_train(teacher, start, train_ds, train_ds,
+                                    test_ds, cfg)
+    assert (t_hist.final.step, s_hist.final.step) == (48, 20)
+    assert {"teacher": _run_digest(teacher, t_hist),
+            "student": _run_digest(student, s_hist)} == BENCH_SHAPE_PINS

@@ -129,15 +129,55 @@ def test_shuffle_is_a_permutation(items, seed):
     assert sorted(shuffled) == sorted(items)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10, 50, 500])
+@pytest.mark.parametrize("n", [1, 2, 10, 33, 50, 64, 65, 500, 1025])
 def test_permutation_is_fisher_yates_over_next_below(n):
-    # the shuffle inlines next_below; it must leave the same stream state
+    # the shuffle draws in bulk; it must leave the same stream state
     stream, ref = Stream(n), Stream(n)
     items = list(range(n))
     for i in range(n - 1, 0, -1):
         j = ref.next_below(i + 1)
         items[i], items[j] = items[j], items[i]
     assert stream.permutation(n) == items
+    assert stream.next_u64() == ref.next_u64()
+
+
+def _unshift(y: int, shift: int) -> int:
+    """x with x ^ (x >> shift) == y for shift > 0, x ^ (x << -shift) for < 0."""
+    x = y
+    for _ in range(64 // abs(shift)):
+        x = y ^ ((x >> shift) if shift > 0 else ((x << -shift) & MASK))
+    return x
+
+
+def _state_before(x: int) -> int:
+    """The xorshift state whose step gives x: the three shifts undone."""
+    return _unshift(_unshift(_unshift(x, 27), -25), 12)
+
+
+def test_state_before_inverts_the_step():
+    for seed in (0, 1, 99):
+        ref = RefStream(seed)
+        x = ref.state
+        ref.next_u64()
+        assert _state_before(ref.state) == x
+
+
+@pytest.mark.parametrize("draw, u", [
+    (0, MASK),             # rejected by the bound 10
+    (0, (1 << 64) - 10),   # at the threshold, kept by every bound
+    (4, MASK - 1),         # rejected by the bound 6, at the fifth draw
+], ids=["rejected", "kept", "rejected-later"])
+def test_shuffle_falls_back_when_a_draw_may_be_rejected(draw, u):
+    n = 10
+    x = (u * pow(0x2545F4914F6CDD1D, -1, 1 << 64)) & MASK  # x * mult = u
+    for _ in range(draw + 1):
+        x = _state_before(x)
+    stream, ref = Stream(0), RefStream(0)
+    stream._state = ref.state = x
+    items, ref_items = list(range(n)), list(range(n))
+    stream.shuffle(items)
+    ref.shuffle(ref_items)
+    assert items == ref_items
     assert stream.next_u64() == ref.next_u64()
 
 
