@@ -8,6 +8,8 @@ sample-shots, ...). Every field is a flag and a key of the optional
 default, and the resolved spec is echoed into the output directory as
 config.json. A sweep entry is ``{"label": ...}`` plus the keys that
 ``train --config`` accepts. ``study`` prints ``benchmark.study``.
+``--out`` is checked before any input is read and made, by ``_save``,
+only once the results are computed.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error. Outputs are deterministic given flags and seeds;
@@ -46,7 +48,6 @@ from .errors import (
 from .evaluate import top1, zero_shot
 from .headinit import (
     Head,
-    HeadInitSpec,
     MODE_CNI,
     MODE_RANDOM,
     TextEmbeddingBank,
@@ -65,6 +66,12 @@ class EvalSpec:
     params: str | None = None
     zero_shot: bool = False
     split: str = "test"
+
+    def __post_init__(self):
+        if self.split not in ("train", "test"):
+            raise ConfigError(f"unknown split {self.split!r}")
+        if self.zero_shot == (self.params is not None):
+            raise ConfigError("choose exactly one of --zero-shot / --params")
 
 
 def _names(cls, skip=()) -> tuple[str, ...]:
@@ -87,12 +94,26 @@ def _check_out(out: Path) -> None:
                          f"{existing} is not a directory")
 
 
-def _out_dir(args) -> Path:
+def _save(args, files: dict, spec=None) -> Path:
+    """Make ``--out`` and write `files` into it, by name: an array as
+    CNIT, a dict as JSON, a string as text; then echo `spec`, the
+    resolved settings, as config.json. Any failure is a WriteError."""
     out = Path(args.out)
+    if spec is not None:
+        files = {**files, "config.json": {
+            "command": args.command, **{k: getattr(args, k) for k in args.paths},
+            **{n: getattr(spec, n) for n in args.spec_names}}}
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file at or above --out
-        raise WriteError(f"cannot make output directory {out}: {exc}") from exc
+        for name, value in files.items():
+            if isinstance(value, str):
+                (out / name).write_text(value, encoding="utf-8")
+            elif isinstance(value, dict):
+                write_json(out / name, value)
+            else:
+                write_tensor(out / name, value)
+    except OSError as exc:  # its message names the file
+        raise WriteError(f"cannot write to {out}: {exc}") from exc
     return out
 
 
@@ -178,36 +199,27 @@ def _resolve(args):
                        {n: getattr(args, n) for n in names})
 
 
-def _echo_config(out: Path, args, spec) -> None:
-    doc = {"command": args.command}
-    doc.update((k, getattr(args, k)) for k in args.paths)
-    doc.update((n, getattr(spec, n)) for n in args.spec_names)
-    write_json(out / "config.json", doc)
-
-
 # --- experiment manifest: cmd_synth writes it, load_experiment reads it ------
 
 def cmd_synth(args) -> int:
     spec = _resolve(args)
     train_ds, test_ds, bank = make_synthetic(spec)
-    out = _out_dir(args)
-    write_tensor(out / "train_tokens.cnit", train_ds.tokens)
-    write_tensor(out / "train_labels.cnit", train_ds.labels)
-    write_tensor(out / "test_tokens.cnit", test_ds.tokens)
-    write_tensor(out / "test_labels.cnit", test_ds.labels)
-    write_tensor(out / "bank.cnit", bank.embeddings)
-    write_json(out / "manifest.json", {
-        "format": "cniprobe-experiment",
-        "train": {"tokens": "train_tokens.cnit", "labels": "train_labels.cnit"},
-        "test": {"tokens": "test_tokens.cnit", "labels": "test_labels.cnit"},
-        "bank": {
-            "embeddings": "bank.cnit",
-            "prompt_templates": bank.prompt_templates,
-            "class_names": bank.class_names,
+    out = _save(args, {
+        "train_tokens.cnit": train_ds.tokens,
+        "train_labels.cnit": train_ds.labels,
+        "test_tokens.cnit": test_ds.tokens,
+        "test_labels.cnit": test_ds.labels,
+        "bank.cnit": bank.embeddings,
+        "manifest.json": {
+            "format": "cniprobe-experiment",
+            "train": {"tokens": "train_tokens.cnit", "labels": "train_labels.cnit"},
+            "test": {"tokens": "test_tokens.cnit", "labels": "test_labels.cnit"},
+            "bank": {"embeddings": "bank.cnit",
+                     "prompt_templates": bank.prompt_templates,
+                     "class_names": bank.class_names},
+            "generator": asdict(spec),
         },
-        "generator": asdict(spec),
-    })
-    _echo_config(out, args, spec)
+    }, spec)
     print(f"wrote synthetic dataset to {out}")
     return 0
 
@@ -290,16 +302,10 @@ def _read_params(path: str | Path) -> ModelParams:
     raise DataError(f"{d}: found neither params_*.cnit nor head_W.cnit")
 
 
-def _write_head(out: Path, head: Head, spec: HeadInitSpec) -> None:
-    write_tensor(out / "head_W.cnit", head.W)
-    write_tensor(out / "head_b.cnit", head.b)
-    write_json(out / "head.json", {
-        "mode": spec.mode,
-        "fraction": spec.fraction,
-        "seed": spec.seed,
-        "num_text_rows": sum(1 for p in head.init_provenance if p == "text"),
-        "provenance": head.init_provenance,
-    })
+def _head_files(head: Head) -> dict:
+    """A head's outputs; its mode, fraction and seed are in config.json."""
+    return {"head_W.cnit": head.W, "head_b.cnit": head.b,
+            "head.json": {"provenance": head.init_provenance}}
 
 
 # --- subcommands --------------------------------------------------------------
@@ -309,9 +315,7 @@ def cmd_init_head(args) -> int:
     spec = run.head_spec()
     _, _, bank = load_experiment(args.manifest)
     head = init_head(spec, average_text_embeddings(bank), bank.num_classes, bank.dim)
-    out = _out_dir(args)
-    _write_head(out, head, spec)
-    _echo_config(out, args, run)
+    out = _save(args, _head_files(head), run)
     print(f"wrote head ({spec.mode}) to {out}")
     return 0
 
@@ -320,57 +324,41 @@ def cmd_sample_shots(args) -> int:
     spec = _resolve(args)
     train_ds, _, _ = load_experiment(args.manifest)
     indices = sample_k_shot(train_ds, spec)
-    out = _out_dir(args)
-    write_json(out / "shots.json",
-               {"indices": indices, "k": spec.k, "seed": spec.seed})
-    _echo_config(out, args, spec)
+    out = _save(args, {"shots.json": {"indices": indices, "k": spec.k,
+                                      "seed": spec.seed}}, spec)
     print(f"wrote {len(indices)} indices to {out / 'shots.json'}")
     return 0
 
 
 def cmd_train(args) -> int:
-    """``train`` and ``distill``: ``fit`` the spec. ``--out`` is checked
-    before any input is read and made after the run."""
+    """``train`` and ``distill``: ``fit`` the spec."""
     spec = _resolve(args)
-    head_spec, cfg = spec.head_spec(), spec.train_config()  # validate first
-    _check_out(Path(args.out))
+    spec.head_spec()  # validate before any input is read
+    cfg = spec.train_config()
     teacher = _read_params(args.teacher) if "teacher" in args.paths else None
     train_ds, test_ds, bank = load_experiment(args.manifest)
     head, params, history = fit(spec, train_ds, test_ds, bank, teacher)
-    out = _out_dir(args)
-    _write_head(out, head, head_spec)
-    (out / "metrics.csv").write_text(history.to_csv(), encoding="utf-8")
-    for name in TRAINABLE[POLICY_ALL]:
-        write_tensor(out / f"params_{name}.cnit", params.group(name))
-    write_json(out / "summary.json", {
-        "final_top1": history.final.test_top1,
-        "final_epoch": history.final.epoch,
-        "generated_at": _timestamp(),
-    })
+    files = {**_head_files(head), "metrics.csv": history.to_csv(),
+             **{f"params_{n}.cnit": params.group(n) for n in TRAINABLE[POLICY_ALL]},
+             "summary.json": {"final_top1": history.final.test_top1,
+                              "final_epoch": history.final.epoch,
+                              "generated_at": _timestamp()}}
     # echo the resolved default LR, not the None sentinel
-    _echo_config(out, args, replace(spec, lr=cfg.base_lr))
+    _save(args, files, replace(spec, lr=cfg.base_lr))
     print(f"final_top1={history.final.test_top1!r}")
     return 0
 
 
 def cmd_eval(args) -> int:
     spec = _resolve(args)
-    if spec.split not in ("train", "test"):
-        raise ConfigError(f"unknown split {spec.split!r}")
-    if spec.zero_shot == (spec.params is not None):
-        raise ConfigError("choose exactly one of --zero-shot / --params")
     train_ds, test_ds, bank = load_experiment(args.manifest)
     ds = test_ds if spec.split == "test" else train_ds
     if spec.zero_shot:
         report = zero_shot(bank, ds)
     else:
         report = top1(_read_params(spec.params), ds)
-    out = _out_dir(args)
-    write_json(out / "eval.json", {
-        "generated_at": _timestamp(),
-        "report": report.to_json_dict(),
-    })
-    _echo_config(out, args, spec)
+    _save(args, {"eval.json": {"generated_at": _timestamp(),
+                               "report": report.to_json_dict()}}, spec)
     print(f"top1={report.top1!r}")
     return 0
 
@@ -405,16 +393,7 @@ def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
     return entries
 
 
-def _write_lines(args, name: str, lines: list[str]) -> Path:
-    """Print `lines` and write them to ``--out``/`name`; returns ``--out``."""
-    out = _out_dir(args)
-    (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print("\n".join(lines))
-    return out
-
-
 def cmd_sweep(args) -> int:
-    _check_out(Path(args.out))
     entries = _sweep_entries(args.config, args.seed)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     rows = sweep(bank, train_ds, test_ds, entries)
@@ -423,18 +402,19 @@ def cmd_sweep(args) -> int:
         acc = "" if r.final_top1 is None else repr(r.final_top1)
         err = r.error or ""
         lines.append(f"{r.label},{acc},{err.replace(',', ';')}")
-    out = _write_lines(args, "sweep.csv", lines)
-    write_json(out / "summary.json", {
-        "rows": [{"label": r.label, "final_top1": r.final_top1,
-                  "error": r.error} for r in rows],
-        "generated_at": _timestamp(),
-    })
+    text = "\n".join(lines) + "\n"
+    summary = {"rows": [{"label": r.label, "final_top1": r.final_top1,
+                         "error": r.error} for r in rows],
+               "generated_at": _timestamp()}
+    _save(args, {"sweep.csv": text, "summary.json": summary})
+    print(text, end="")
     return 0
 
 
 def cmd_study(args) -> int:
-    _check_out(Path(args.out))
-    _write_lines(args, "study.txt", benchmark.study(args.name, args.seeds))
+    text = "\n".join(benchmark.study(args.name, args.seeds)) + "\n"
+    _save(args, {"study.txt": text})
+    print(text, end="")
     return 0
 
 
@@ -501,6 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(Path(args.out))
         return args.func(args)
     except CniProbeError as exc:  # ConfigError and any other: 2
         print(f"error: {exc}", file=sys.stderr)

@@ -134,7 +134,6 @@ class LossConfig:
 class ForwardCache:
     """Intermediate activations of one forward pass (None: not run)."""
 
-    adapted: np.ndarray | None     # (B, T, D) adapter outputs (PL only)
     tbar: np.ndarray | None        # (B, D) sum_i alpha_i t_i (ALL only)
     attn: np.ndarray | None        # (B, T) attention weights, rows sum to 1
     pooled_unit: np.ndarray        # (B, D) H / ||H||
@@ -195,20 +194,18 @@ def prefix(p: ModelParams, tokens: np.ndarray, policy: str) -> np.ndarray:
 def forward_from(p: ModelParams, rows: np.ndarray, policy: str) -> ForwardCache:
     """The pipeline from ``prefix(p, tokens, policy)`` rows on."""
     rows = _as_rows(p, rows, policy)
-    adapted = tbar = attn = norms = None
+    tbar = attn = norms = None
     if policy == POLICY_L:
         pooled_unit = rows
     elif policy == POLICY_PL:
-        adapted = rows
-        attn, pooled_unit, norms = _pool(p, adapted)
+        attn, pooled_unit, norms = _pool(p, rows)
     else:  # einsum, not @: its sums do not depend on the batch's row count
         scores = np.einsum("btd,d->bt", rows, (p.q @ p.A) / math.sqrt(p.dim))
         attn = _softmax_rows(scores)  # <a, q> is the same for every token
         tbar = np.einsum("bt,btd->bd", attn, rows)
         pooled_unit, norms = _unit(np.einsum("de,be->bd", p.A, tbar) + p.a)
     logits = LOGIT_SCALE * (pooled_unit @ p.W.T) + p.b
-    return ForwardCache(adapted, tbar, attn, pooled_unit, norms, logits,
-                        _softmax_rows(logits))
+    return ForwardCache(tbar, attn, pooled_unit, norms, logits, _softmax_rows(logits))
 
 
 def forward(p: ModelParams, tokens: np.ndarray) -> ForwardCache:
@@ -336,17 +333,15 @@ def backward(
         d_unit = LOGIT_SCALE * (g_logits @ p.W)  # (B, D)
         radial = np.add.reduce(d_unit * cache.pooled_unit, axis=1, keepdims=True)
         d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
-        if policy == POLICY_PL:
-            d_attn = np.einsum("btd,bd->bt", cache.adapted, d_pool)
-        else:  # <u_i, d_pool> less <a, d_pool>, which the softmax cancels
-            d_attn = np.einsum("btd,bd->bt", rows, d_pool @ p.A)
+        # PL rows are the u_i; for ALL's rows t_i, <a, d_pool> cancels in the softmax
+        d_rows = d_pool if policy == POLICY_PL else d_pool @ p.A
+        d_attn = np.einsum("btd,bd->bt", rows, d_rows)
         inner = np.add.reduce(cache.attn * d_attn, axis=1, keepdims=True)
         d_scores = cache.attn * (d_attn - inner)
-        sqrt_d = math.sqrt(p.dim)
+        s = np.einsum("bt,btd->d", d_scores, rows) / math.sqrt(p.dim)
         if policy == POLICY_PL:
-            grads["q"] = np.einsum("bt,btd->d", d_scores, cache.adapted) / sqrt_d
+            grads["q"] = s
         else:  # rows of d_scores sum to 0: sum_i d_score_i u_i / sqrt(D) = A s
-            s = np.einsum("bt,btd->d", d_scores, rows) / sqrt_d
             grads["q"] = p.A @ s
             grads["A"] = d_pool.T @ cache.tbar + p.q[:, None] * s
             grads["a"] = np.add.reduce(d_pool, axis=0)

@@ -52,3 +52,21 @@ def test_every_hook_target_resolves():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_cli_pipeline_records_the_cli_writes(tmp_path):
+    # the CLI writes through cli._save; the tracer must still see each write
+    pipeline = _load("workloads").make("cli_pipeline", scratch=tmp_path)
+    pipeline.setup(17)
+    tracing = _load("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = pipeline.run_pass()
+    finally:
+        tracer.uninstall()
+    assert result.failed == 0
+    metrics = tracing.pass_metrics(tracer.spans)
+    assert metrics["tensorio.write_tensor.calls"] > 0
+    assert metrics["tensorio.write_tensor.bytes"] > 0
+    assert metrics["tensorio.write_json.s"] > 0

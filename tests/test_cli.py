@@ -14,7 +14,7 @@ import pytest
 from cniprobe import cli, tensorio
 from cniprobe.benchmark import RunSpec, make_benchmark
 from cniprobe.cli import build_parser, load_experiment, main
-from cniprobe.dataset import SynthSpec
+from cniprobe.dataset import EmbeddingDataset, SynthSpec
 from cniprobe.errors import LabelOutOfRange, ParseError, ShapeMismatch
 from cniprobe.evaluate import predictions
 from cniprobe.model import forward_from, prefix
@@ -74,8 +74,9 @@ def test_init_head_artifacts(data_dir, tmp_path):
     W = read_tensor(out / "head_W.cnit")
     assert W.shape == (3, 8)
     doc = json.loads((out / "head.json").read_text())
-    assert doc["mode"] == "partial"
-    assert doc["num_text_rows"] == 1  # floor(0.5 * 3)
+    assert set(doc) == {"provenance"}  # the settings are in config.json
+    assert json.loads((out / "config.json").read_text())["init"] == "partial"
+    assert doc["provenance"].count("text") == 1  # floor(0.5 * 3)
     assert len(doc["provenance"]) == 3
 
 
@@ -114,6 +115,20 @@ def test_sample_shots_deterministic(data_dir, tmp_path):
     doc = json.loads((a / "shots.json").read_text())
     assert len(doc["indices"]) == 6
     assert set(doc) == {"indices", "k", "seed"}
+
+
+def test_sample_shots_gives_the_indices_train_trains_on(data_dir, tmp_path,
+                                                         monkeypatch):
+    manifest = str(data_dir / "manifest.json")
+    assert main(["sample-shots", "--manifest", manifest, "--k", "2",
+                 "--seed", "5", "--out", str(tmp_path / "s")]) == 0
+    trained_on, subset = [], EmbeddingDataset.subset
+    monkeypatch.setattr(EmbeddingDataset, "subset", lambda ds, indices: (
+        trained_on.append(list(indices)) or subset(ds, indices)))
+    assert main(["train", "--manifest", manifest, "--shots", "2",
+                 "--seed", "5", "--out", str(tmp_path / "r")] + FAST_TRAIN) == 0
+    shots = json.loads((tmp_path / "s" / "shots.json").read_text())
+    assert trained_on == [shots["indices"]]
 
 
 def test_sample_shots_rejects_conflicting_flags(data_dir, tmp_path, capsys):
@@ -357,22 +372,41 @@ def test_failed_synth_leaves_no_out(tmp_path, capsys, flag, noise):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+@pytest.mark.parametrize("blocked", ["file", "under_file", "metrics.csv",
+                                     "sweep.csv", "study.txt"])
 def test_out_that_cannot_be_a_directory_exits_3(data_dir, tmp_path, capsys,
-                                                 under):
-    blocker = tmp_path / "taken"
-    blocker.write_bytes(b"keep")
-    out = str(blocker / "sub" if under else blocker)
+                                                 blocked):
+    # a file at or above --out, or a directory where an output file goes
     manifest = str(data_dir / "manifest.json")
-    for argv in (["synth"] + SMALL_SYNTH,
-                 ["train", "--manifest", manifest, "--epochs", "0"],
-                 ["eval", "--manifest", manifest, "--zero-shot"]):
+    train = ["train", "--manifest", manifest, "--epochs", "0"]
+    teacher = tmp_path / "teacher"
+    assert main(train + ["--out", str(teacher)]) == 0
+    write_json(tmp_path / "one.json", {"entries": [{"label": "one", "epochs": 0}]})
+    commands = {
+        "metrics.csv": [train, ["distill", "--manifest", manifest, "--epochs",
+                                "0", "--teacher", str(teacher)]],
+        "sweep.csv": [["sweep", "--manifest", manifest,
+                       "--config", str(tmp_path / "one.json")]],
+        "study.txt": [["study", "inits", "--seeds", "1"]],
+    }.get(blocked, [["synth"] + SMALL_SYNTH, train,
+                    ["eval", "--manifest", manifest, "--zero-shot"]])
+    blocker = tmp_path / "taken"
+    is_file = blocked in ("file", "under_file")
+    if is_file:
+        blocker.write_bytes(b"keep")
+    else:
+        (blocker / blocked).mkdir(parents=True)
+    out = str(blocker / "sub" if blocked == "under_file" else blocker)
+    for argv in commands:
         assert main(argv + ["--out", out]) == 3, argv[0]
-        assert "cannot make output directory" in capsys.readouterr().err
-    assert blocker.read_bytes() == b"keep"
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make output directory" if is_file
+                              else "error: cannot write"), err
+    assert blocker.read_bytes() == b"keep" if is_file else (blocker / blocked).is_dir()
 
 
-@pytest.mark.parametrize("command", ["train", "distill"])
+@pytest.mark.parametrize("command", ["synth", "init-head", "sample-shots",
+                                     "train", "distill", "eval"])
 def test_out_that_cannot_be_a_directory_fails_before_the_run(
         data_dir, tmp_path, capsys, monkeypatch, command):
     manifest = str(data_dir / "manifest.json")
@@ -380,15 +414,16 @@ def test_out_that_cannot_be_a_directory_fails_before_the_run(
     assert main(["train", "--manifest", manifest, "--epochs", "0",
                  "--out", str(teacher)]) == 0
 
-    def no_fit(*args):
-        raise AssertionError("fit ran before --out was checked")
+    def no_read(*args):
+        raise AssertionError("input was read before --out was checked")
 
-    monkeypatch.setattr(cli, "fit", no_fit)
+    for name in ("make_synthetic", "load_experiment", "fit"):
+        monkeypatch.setattr(cli, name, no_read)
     blocker = tmp_path / "taken"
     blocker.write_bytes(b"keep")
-    argv = [command, "--manifest", manifest]
-    if command == "distill":
-        argv += ["--teacher", str(teacher)]
+    argv = [command] if command == "synth" else [command, "--manifest", manifest]
+    argv += {"sample-shots": ["--k", "1"], "eval": ["--zero-shot"],
+             "distill": ["--teacher", str(teacher)]}.get(command, [])
     for out in (blocker, blocker / "sub"):
         assert main(argv + ["--out", str(out)]) == 3
         assert "is not a directory" in capsys.readouterr().err

@@ -370,7 +370,8 @@ def test_gradients_match_finite_differences(policy):
 
 def explicit_all_backward(p, tokens, targets, anchor, cfg, teacher=None):
     """Reference ALL gradients through the explicit (B, T, D) adapter output."""
-    cache = forward(p, tokens)  # cache.adapted holds A t_i + a
+    cache = forward(p, tokens)
+    adapted = prefix(p, tokens, "PL")  # A t_i + a
     batch = tokens.shape[0]
     g_logits = np.zeros_like(cache.probs)
     if targets is not None:
@@ -384,7 +385,7 @@ def explicit_all_backward(p, tokens, targets, anchor, cfg, teacher=None):
     d_unit = LOGIT_SCALE * (g_logits @ p.W)
     radial = (d_unit * cache.pooled_unit).sum(axis=1, keepdims=True)
     d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
-    d_attn = np.einsum("btd,bd->bt", cache.adapted, d_pool)
+    d_attn = np.einsum("btd,bd->bt", adapted, d_pool)
     inner = (cache.attn * d_attn).sum(axis=1, keepdims=True)
     d_scores = cache.attn * (d_attn - inner)
     sqrt_d = math.sqrt(p.dim)
@@ -393,7 +394,7 @@ def explicit_all_backward(p, tokens, targets, anchor, cfg, teacher=None):
     grads = {
         "A": np.einsum("btd,bte->de", d_adapted, tokens),
         "a": d_adapted.sum(axis=(0, 1)),
-        "q": np.einsum("bt,btd->d", d_scores, cache.adapted) / sqrt_d,
+        "q": np.einsum("bt,btd->d", d_scores, adapted) / sqrt_d,
         "W": LOGIT_SCALE * (g_logits.T @ cache.pooled_unit),
         "b": g_logits.sum(axis=0),
     }
