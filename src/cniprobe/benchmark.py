@@ -24,7 +24,7 @@ import numpy as np
 from .dataset import EmbeddingDataset, SynthSpec, make_synthetic
 from .distill import distill_train
 from .evaluate import zero_shot
-from .headinit import (MODE_CNI, MODE_PARTIAL, MODE_RANDOM, Head, HeadInitSpec,
+from .headinit import (MODE_CNI, MODE_PARTIAL, MODE_RANDOM, HeadInitSpec,
                        TextEmbeddingBank, average_text_embeddings, init_head)
 from .model import LossConfig, ModelParams, init_params
 from .train import MetricHistory, TrainConfig, train
@@ -120,17 +120,16 @@ def default_train_config(init_mode: str, seed: int, shots: int | None = None,
 
 def fit(spec: RunSpec, train_ds: EmbeddingDataset, test_ds: EmbeddingDataset,
         bank: TextEmbeddingBank, teacher: ModelParams | None = None
-        ) -> tuple[Head, ModelParams, MetricHistory]:
-    """Build the spec's head from `bank` and train from it; a DistillSpec
-    is a ``distill_train`` student of `teacher`, with the training split
-    as its unlabeled pool."""
+        ) -> tuple[ModelParams, MetricHistory]:
+    """Train from the spec's start model, ``init_params`` of its head built
+    from `bank`; a DistillSpec is a ``distill_train`` student of
+    `teacher`, with the training split as its unlabeled pool."""
     head = init_head(spec.head_spec(), average_text_embeddings(bank),
                      bank.num_classes, bank.dim)
     params0, cfg = init_params(head), spec.train_config()
     if not isinstance(spec, DistillSpec):
-        return (head, *train(params0, train_ds, test_ds, cfg))
-    return (head,
-            *distill_train(teacher, params0, train_ds, train_ds, test_ds, cfg))
+        return train(params0, train_ds, test_ds, cfg)
+    return distill_train(teacher, params0, train_ds, train_ds, test_ds, cfg)
 
 
 _data = functools.cache(make_benchmark)
@@ -143,7 +142,7 @@ def run(spec: RunSpec, seed: int, teacher: RunSpec | None = None
     is the spec of a DistillSpec's teacher, run on the same seed. Callers
     share the result, so they must not modify it."""
     teacher_params = None if teacher is None else run(teacher, seed)[0]
-    return fit(spec, *_data(seed), teacher_params)[1:]
+    return fit(spec, *_data(seed), teacher_params)
 
 
 # The studies' settings; the acceptance tests check the same arms.

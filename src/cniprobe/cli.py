@@ -46,14 +46,8 @@ from .errors import (
     WriteError,
 )
 from .evaluate import top1, zero_shot
-from .headinit import (
-    Head,
-    MODE_CNI,
-    MODE_RANDOM,
-    TextEmbeddingBank,
-    average_text_embeddings,
-    init_head,
-)
+from .headinit import (MODE_CNI, MODE_RANDOM, TextEmbeddingBank,
+                       average_text_embeddings, init_head)
 from .model import POLICY_ALL, TRAINABLE, ModelParams, init_params
 from .tensorio import read_tensor, write_json, write_tensor
 from .train import SweepEntry, sweep
@@ -97,22 +91,33 @@ def _check_out(out: Path) -> None:
 def _save(args, files: dict, spec=None) -> Path:
     """Make ``--out`` and write `files` into it, by name: an array as
     CNIT, a dict as JSON, a string as text; then echo `spec`, the
-    resolved settings, as config.json. Any failure is a WriteError."""
+    resolved settings, as config.json. Any failure is a WriteError and
+    removes the files and directories that this call made."""
     out = Path(args.out)
     if spec is not None:
         files = {**files, "config.json": {
             "command": args.command, **{k: getattr(args, k) for k in args.paths},
             **{n: getattr(spec, n) for n in args.spec_names}}}
+    made = [p for p in (out, *out.parents) if not p.exists()]  # nearest first
+    written = []
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, value in files.items():
+            written.append(path := out / name)
             if isinstance(value, str):
-                (out / name).write_text(value, encoding="utf-8")
+                path.write_text(value, encoding="utf-8")
             elif isinstance(value, dict):
-                write_json(out / name, value)
+                write_json(path, value)
             else:
-                write_tensor(out / name, value)
-    except OSError as exc:  # its message names the file
+                write_tensor(path, value)
+    except (OSError, WriteError) as exc:  # an OSError names its file
+        for path in written:
+            if not path.is_dir():  # one that blocked its write stays
+                path.unlink(missing_ok=True)
+        for path in filter(Path.exists, made):
+            path.rmdir()
+        if isinstance(exc, WriteError):
+            raise
         raise WriteError(f"cannot write to {out}: {exc}") from exc
     return out
 
@@ -285,27 +290,18 @@ def load_experiment(manifest_path: str | Path):
     return train_ds, test_ds, bank
 
 
-# --- saved heads and parameters -----------------------------------------------
+# --- saved models -------------------------------------------------------------
+
+def _model_files(params: ModelParams) -> dict:
+    """A model's outputs, one CNIT file per group: ``params_{A,a,q,W,b}``."""
+    return {f"params_{n}.cnit": params.group(n) for n in TRAINABLE[POLICY_ALL]}
+
 
 def _read_params(path: str | Path) -> ModelParams:
-    """Load model params from a train output dir, or lift a saved head."""
+    """The model that ``init-head``, ``train`` or ``distill`` saved in `path`."""
     d = Path(path)
-    if (d / "params_W.cnit").exists():
-        return ModelParams(**{
-            n: read_tensor(d / f"params_{n}.cnit").astype(np.float64)
-            for n in TRAINABLE[POLICY_ALL]})
-    if (d / "head_W.cnit").exists():
-        W = read_tensor(d / "head_W.cnit").astype(np.float64)
-        b = read_tensor(d / "head_b.cnit").astype(np.float64)
-        head = Head(W=W, b=b, init_provenance=[])
-        return init_params(head)
-    raise DataError(f"{d}: found neither params_*.cnit nor head_W.cnit")
-
-
-def _head_files(head: Head) -> dict:
-    """A head's outputs; its mode, fraction and seed are in config.json."""
-    return {"head_W.cnit": head.W, "head_b.cnit": head.b,
-            "head.json": {"provenance": head.init_provenance}}
+    return ModelParams(*(read_tensor(d / f"params_{n}.cnit")
+                         for n in TRAINABLE[POLICY_ALL]))
 
 
 # --- subcommands --------------------------------------------------------------
@@ -315,7 +311,8 @@ def cmd_init_head(args) -> int:
     spec = run.head_spec()
     _, _, bank = load_experiment(args.manifest)
     head = init_head(spec, average_text_embeddings(bank), bank.num_classes, bank.dim)
-    out = _save(args, _head_files(head), run)
+    out = _save(args, {**_model_files(init_params(head)),
+                       "head.json": {"provenance": head.init_provenance}}, run)
     print(f"wrote head ({spec.mode}) to {out}")
     return 0
 
@@ -337,9 +334,8 @@ def cmd_train(args) -> int:
     cfg = spec.train_config()
     teacher = _read_params(args.teacher) if "teacher" in args.paths else None
     train_ds, test_ds, bank = load_experiment(args.manifest)
-    head, params, history = fit(spec, train_ds, test_ds, bank, teacher)
-    files = {**_head_files(head), "metrics.csv": history.to_csv(),
-             **{f"params_{n}.cnit": params.group(n) for n in TRAINABLE[POLICY_ALL]},
+    params, history = fit(spec, train_ds, test_ds, bank, teacher)
+    files = {**_model_files(params), "metrics.csv": history.to_csv(),
              "summary.json": {"final_top1": history.final.test_top1,
                               "final_epoch": history.final.epoch,
                               "generated_at": _timestamp()}}

@@ -79,10 +79,10 @@ class HeadInitSpec:
 
 @dataclass
 class Head:
-    """Linear head: unit-norm weight rows, zero bias, per-row provenance."""
+    """Linear head: unit-norm weight rows and per-row provenance; its
+    bias is the zero vector that ``model.init_params`` starts ``b`` at."""
 
     W: np.ndarray  # (C, D)
-    b: np.ndarray  # (C,)
     init_provenance: list[str]  # per row: "text" or "random"
 
 
@@ -105,7 +105,7 @@ def init_head(
     num_classes: int,
     dim: int,
 ) -> Head:
-    """Build the head weight/bias per ``spec``.
+    """Build the head weight per ``spec``.
 
     ``avg`` is the (C, D) output of average_text_embeddings; required for
     cni and partial modes. Random rows are drawn i.i.d. standard normal
@@ -124,15 +124,13 @@ def init_head(
                 f"averaged embeddings shape {avg.shape} != ({num_classes}, {dim})"
             )
 
-    b = np.zeros(num_classes, dtype=np.float64)
-
     if spec.mode == MODE_CNI:
-        return Head(W=avg.copy(), b=b, init_provenance=["text"] * num_classes)
+        return Head(W=avg.copy(), init_provenance=["text"] * num_classes)
 
     stream = Stream(spec.seed)
     if spec.mode == MODE_RANDOM:
         W = stream.unit_rows(num_classes, dim)
-        return Head(W=W, b=b, init_provenance=["random"] * num_classes)
+        return Head(W=W, init_provenance=["random"] * num_classes)
 
     # partial: seeded shuffle picks which classes keep their text rows
     order = stream.permutation(num_classes)
@@ -143,4 +141,4 @@ def init_head(
     random_rows = [c for c in range(num_classes) if c not in text_rows]
     W = avg.copy()
     W[random_rows] = stream.unit_rows(len(random_rows), dim)
-    return Head(W=W, b=b, init_provenance=provenance)
+    return Head(W=W, init_provenance=provenance)

@@ -96,7 +96,7 @@ class ModelParams:
 
 
 def init_params(head: Head) -> ModelParams:
-    """Identity adapter, zero query and the given head.
+    """Identity adapter, zero ``a``, ``q`` and ``b``, and the head's W.
 
     All freezing policies therefore start from the same zero-shot
     function: uniform attention over tokens and cosine scoring against
@@ -105,9 +105,9 @@ def init_params(head: Head) -> ModelParams:
     if np.ndim(head.W) != 2:
         raise ShapeMismatch(f"head weight of shape {np.shape(head.W)} "
                             "is not (C, D)")
-    dim = head.W.shape[1]
+    c, dim = head.W.shape
     return ModelParams(A=np.eye(dim), a=np.zeros(dim), q=np.zeros(dim),
-                       W=head.W, b=head.b)
+                       W=head.W, b=np.zeros(c))
 
 
 @dataclass

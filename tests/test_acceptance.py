@@ -45,7 +45,6 @@ from cniprobe.model import (
     LossConfig,
     backward,
     forward,
-    init_params,
     loss_total,
     prefix,
     smoothed_targets,
@@ -84,8 +83,7 @@ def test_criterion_1_zero_shot_equivalence():
     ok = True
     accs = []
     for seed, (train_ds, test_ds, bank) in zip(BENCHMARK_SEEDS, data):
-        head, _, hist = fit(arm(seed, epochs=0), train_ds, test_ds, bank)
-        params0 = init_params(head)
+        params0, hist = fit(arm(seed, epochs=0), train_ds, test_ds, bank)
         zs = zero_shot(bank, test_ds)
         same_preds = np.array_equal(zero_shot_predictions(bank, test_ds),
                                     predictions(params0, test_ds))

@@ -70,3 +70,6 @@ def test_traced_cli_pipeline_records_the_cli_writes(tmp_path):
     assert metrics["tensorio.write_tensor.calls"] > 0
     assert metrics["tensorio.write_tensor.bytes"] > 0
     assert metrics["tensorio.write_json.s"] > 0
+    # and the reads of cli._read_params and cli.load_experiment
+    assert metrics["tensorio.read_tensor.calls"] > 0
+    assert metrics["tensorio.read_tensor.bytes"] > 0

@@ -15,7 +15,7 @@ from cniprobe import cli, tensorio
 from cniprobe.benchmark import RunSpec, make_benchmark
 from cniprobe.cli import build_parser, load_experiment, main
 from cniprobe.dataset import EmbeddingDataset, SynthSpec
-from cniprobe.errors import LabelOutOfRange, ParseError, ShapeMismatch
+from cniprobe.errors import LabelOutOfRange, ParseError, ShapeMismatch, WriteError
 from cniprobe.evaluate import predictions
 from cniprobe.model import forward_from, prefix
 from cniprobe.tensorio import read_tensor, write_json, write_tensor
@@ -71,8 +71,13 @@ def test_init_head_artifacts(data_dir, tmp_path):
             "--init", "partial", "--fraction", "0.5", "--init-seed", "3",
             "--out", str(out)]
     assert main(args) == 0
-    W = read_tensor(out / "head_W.cnit")
+    W = read_tensor(out / "params_W.cnit")
     assert W.shape == (3, 8)
+    # the untrained model: identity adapter, zero a, q and b
+    np.testing.assert_array_equal(read_tensor(out / "params_A.cnit"), np.eye(8))
+    for name, size in (("a", 8), ("q", 8), ("b", 3)):
+        np.testing.assert_array_equal(read_tensor(out / f"params_{name}.cnit"),
+                                      np.zeros(size))
     doc = json.loads((out / "head.json").read_text())
     assert set(doc) == {"provenance"}  # the settings are in config.json
     assert json.loads((out / "config.json").read_text())["init"] == "partial"
@@ -161,9 +166,10 @@ def test_train_outputs_and_metric_determinism(data_dir, tmp_path, capsys):
     assert 0.0 <= acc <= 1.0
     assert (outs[0] / "metrics.csv").read_bytes() == \
         (outs[1] / "metrics.csv").read_bytes()
-    for name in ("summary.json", "config.json", "head.json"):
+    for name in ("summary.json", "config.json"):
         assert (outs[0] / name).exists()
-    for name in ("model.json", "metrics.json"):  # metrics.csv holds the history
+    # metrics.csv holds the history; init-head rebuilds the start model
+    for name in ("model.json", "metrics.json", "head.json", "head_W.cnit"):
         assert not (outs[0] / name).exists()
     for g in ("A", "a", "q", "W", "b"):
         assert (outs[0] / f"params_{g}.cnit").exists()
@@ -326,7 +332,7 @@ def test_saved_run_reproduces_in_memory_predictions(bench_experiment, tmp_path,
     assert main(["eval", "--manifest", str(bench_experiment), "--params", str(run),
                  "--out", str(ev)]) == 0
 
-    _, params, _ = trained[0]
+    params, _ = trained[0]
     _, test_ds, _ = load_experiment(bench_experiment)
     rows = prefix(params, test_ds.tokens, policy)
     in_memory = np.argmax(forward_from(params, rows, policy).logits, axis=1)
@@ -402,7 +408,29 @@ def test_out_that_cannot_be_a_directory_exits_3(data_dir, tmp_path, capsys,
         err = capsys.readouterr().err
         assert err.startswith("error: cannot make output directory" if is_file
                               else "error: cannot write"), err
-    assert blocker.read_bytes() == b"keep" if is_file else (blocker / blocked).is_dir()
+    if is_file:
+        assert blocker.read_bytes() == b"keep"
+    else:  # the files written before the blocked one are gone
+        assert [p.name for p in blocker.iterdir()] == [blocked]
+
+
+def test_failed_write_leaves_no_files_and_no_new_out(data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+    written, write_tensor = [], cli.write_tensor
+
+    def full_disk(path, t):  # the third tensor write fails
+        written.append(path)
+        if len(written) == 3:
+            raise WriteError(f"cannot write tensor to {path}: disk full")
+        write_tensor(path, t)
+
+    monkeypatch.setattr(cli, "write_tensor", full_disk)
+    out = tmp_path / "new" / "run"
+    assert main(["train", "--manifest", str(data_dir / "manifest.json"),
+                 "--epochs", "0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write tensor to")
+    assert len(written) == 3
+    assert not (tmp_path / "new").exists()  # --out and the parent it made
 
 
 @pytest.mark.parametrize("command", ["synth", "init-head", "sample-shots",
@@ -449,11 +477,35 @@ def test_sweep_and_study_check_out_before_any_run(data_dir, tmp_path, capsys,
     assert blocker.read_bytes() == b"keep"
 
 
-def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path):
+@pytest.mark.parametrize("old_layout", [False, True],
+                         ids=["no_dir", "head_W_only"])
+def test_eval_of_missing_params_leaves_no_out(data_dir, tmp_path, capsys,
+                                              old_layout):
+    params = tmp_path / "nothing"
+    if old_layout:  # the layout an older init-head wrote
+        params.mkdir()
+        write_tensor(params / "head_W.cnit", np.eye(3, 8))
+        write_tensor(params / "head_b.cnit", np.zeros(3))
     out = tmp_path / "e"
     assert main(["eval", "--manifest", str(data_dir / "manifest.json"),
-                 "--params", str(tmp_path / "nothing"), "--out", str(out)]) == 3
+                 "--params", str(params), "--out", str(out)]) == 3
+    assert "params_A.cnit" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_init_head_saves_the_start_model_of_a_run(data_dir, tmp_path):
+    # a run stores only what it trained; init-head with the run's head
+    # settings rebuilds the model it started from
+    manifest = str(data_dir / "manifest.json")
+    head = ["--init", "partial", "--fraction", "0.5", "--init-seed", "3"]
+    assert main(["init-head", "--manifest", manifest,
+                 "--out", str(tmp_path / "head")] + head) == 0
+    assert main(["train", "--manifest", manifest, "--epochs", "0", "--seed", "9",
+                 "--out", str(tmp_path / "run")] + head) == 0
+    for g in ("A", "a", "q", "W", "b"):
+        name = f"params_{g}.cnit"
+        assert (tmp_path / "head" / name).read_bytes() == \
+            (tmp_path / "run" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,8 +525,8 @@ def test_bank_of_another_dim_is_parse_error(data_dir, tmp_path, capsys, argv):
 @pytest.mark.parametrize("saved, name, shape", [
     ("run", "params_A.cnit", ()),
     ("run", "params_W.cnit", ()),
-    ("head", "head_W.cnit", ()),
-    ("head", "head_W.cnit", (8,)),
+    ("head", "params_W.cnit", ()),
+    ("head", "params_W.cnit", (8,)),
 ])
 def test_saved_tensor_of_wrong_rank_is_shape_mismatch(data_dir, tmp_path,
                                                       saved, name, shape):

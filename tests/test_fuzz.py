@@ -44,7 +44,9 @@ SHAPES = {
     "run/params_A.cnit": (4, 4), "run/params_a.cnit": (4,),
     "run/params_q.cnit": (4,), "run/params_W.cnit": (3, 4),
     "run/params_b.cnit": (3,),
-    "head/head_W.cnit": (3, 4), "head/head_b.cnit": (3,),
+    "head/params_A.cnit": (4, 4), "head/params_a.cnit": (4,),
+    "head/params_q.cnit": (4,), "head/params_W.cnit": (3, 4),
+    "head/params_b.cnit": (3,),
 }
 
 
@@ -129,8 +131,8 @@ def _reshaped(draw):
 @example(case=("data/test_tokens.cnit", (6, 2, 5)))
 @example(case=("run/params_A.cnit", ()))
 @example(case=("run/params_W.cnit", ()))
-@example(case=("head/head_W.cnit", (4,)))
-@example(case=("head/head_W.cnit", ()))
+@example(case=("head/params_W.cnit", (4,)))
+@example(case=("head/params_W.cnit", ()))
 def test_fuzzed_tensor_shape(base, case):
     name, shape = case
 

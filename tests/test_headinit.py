@@ -15,6 +15,7 @@ from cniprobe.headinit import (
     average_text_embeddings,
     init_head,
 )
+from cniprobe.model import init_params
 
 
 def _bank(arr, **kw):
@@ -99,7 +100,7 @@ def test_cni_copies_rows_exactly():
     head = init_head(HeadInitSpec(mode=MODE_CNI), avg, 4, 6)
     np.testing.assert_array_equal(head.W, avg)
     assert head.W is not avg  # defensive copy
-    np.testing.assert_array_equal(head.b, np.zeros(4))
+    np.testing.assert_array_equal(init_params(head).b, np.zeros(4))
     assert head.init_provenance == ["text"] * 4
 
 

@@ -101,7 +101,7 @@ def test_forward_invariants(seed):
 def test_init_params_reproduces_cosine_scoring(rng):
     W = rng.normal(size=(4, 6))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
-    p = init_params(Head(W=W, b=np.zeros(4), init_provenance=[]))
+    p = init_params(Head(W=W, init_provenance=[]))
     tokens = rng.normal(size=(7, 3, 6))
     cache = forward(p, tokens)
     # identity adapter + zero query -> uniform attention over raw tokens

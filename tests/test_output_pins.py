@@ -24,24 +24,18 @@ TRAIN = ["--shots", "2", "--epochs", "6", "--batch-size", "4",
 
 # sha256 of every .cnit file and metrics.csv, by path under the root
 PINNED = {
-    "ALL/head_W.cnit": "f23f438ce2a12aaf780fbc836ca8d77b1e31dadc7e58495257de3a0bda9ca519",
-    "ALL/head_b.cnit": "38e8c067f159137098f1b5c81141defb315d46353a430eceb2d657e1bfd39ebc",
     "ALL/metrics.csv": "46198f72121ead2137eedaeb54a5f8384ced2069a2ad24f703f46dc18ac182d1",
     "ALL/params_A.cnit": "fd579a903cbf083ac87acf3d69b4a01d0b0fc9406a17db2969ce86963f60c7da",
     "ALL/params_W.cnit": "6cfac296ab8678b596c256f8d985b61ee855c067394e0347d9db5bb3652097b9",
     "ALL/params_a.cnit": "d68eea2c50da8e01f152dae70e56313cf1812373bd404a9bbb5bf0ed32aab038",
     "ALL/params_b.cnit": "30fb79c518819149fd77a29bfed52275f2a549b4145f261050961840e4ddd3a8",
     "ALL/params_q.cnit": "c252cc6ffb11af0b197b35afc3e7e7daff885f278600324da5ec46127c728352",
-    "L/head_W.cnit": "f23f438ce2a12aaf780fbc836ca8d77b1e31dadc7e58495257de3a0bda9ca519",
-    "L/head_b.cnit": "38e8c067f159137098f1b5c81141defb315d46353a430eceb2d657e1bfd39ebc",
     "L/metrics.csv": "b8d984df22fb188f6f180d7a2617ac15560d0744ea6f6bbe2517d832e367dbe3",
     "L/params_A.cnit": "1f0d7de25d2ed32b9a394e31a2aefd688469c087d5775e4b86d2a624d46a084d",
     "L/params_W.cnit": "9d0e2fcb2561054b3d3f5f2f346b843b8ccb88db94be47d49f90bdc98ae2a5e4",
     "L/params_a.cnit": "d06871f7c7e3ff6b9dfe010adada53428374ea4545a0e7153e7c6e3155d99377",
     "L/params_b.cnit": "70f98d4813bfaa6f1a0388160e0216b97b412f8a09141d27e4366714fa58e863",
     "L/params_q.cnit": "d06871f7c7e3ff6b9dfe010adada53428374ea4545a0e7153e7c6e3155d99377",
-    "PL/head_W.cnit": "f23f438ce2a12aaf780fbc836ca8d77b1e31dadc7e58495257de3a0bda9ca519",
-    "PL/head_b.cnit": "38e8c067f159137098f1b5c81141defb315d46353a430eceb2d657e1bfd39ebc",
     "PL/metrics.csv": "30a37b250ba003b300ce424e237ab85e260e4f927ecbbc1e9fb7f9f5020f041e",
     "PL/params_A.cnit": "1f0d7de25d2ed32b9a394e31a2aefd688469c087d5775e4b86d2a624d46a084d",
     "PL/params_W.cnit": "677c0451a9436a05dbcd029ad9c59130cc24eb7cd44788199362dbd35a51782b",
@@ -53,8 +47,6 @@ PINNED = {
     "data/test_tokens.cnit": "8052ddab53a1e8357aef6f31c492347a6397f6c60c66423b41f810c09a5f13ba",
     "data/train_labels.cnit": "2efe31d8e25458a27e5a0eb92a414971badad29a775a007aac762e052c7c7ce9",
     "data/train_tokens.cnit": "326a566022544ff9d0c87459e1d8b843d850edde2a8b55f9960fe1fe2ee8844c",
-    "distill/head_W.cnit": "f23f438ce2a12aaf780fbc836ca8d77b1e31dadc7e58495257de3a0bda9ca519",
-    "distill/head_b.cnit": "38e8c067f159137098f1b5c81141defb315d46353a430eceb2d657e1bfd39ebc",
     "distill/metrics.csv": "bdd283f222b8ae1bc45f31bdc87e68dfc37615290c219264f2676b15a81a8629",
     "distill/params_A.cnit": "2776b97ed6069e4f59e4b1c5579929ce717db885fcf0174c26a565bd6ec7c05d",
     "distill/params_W.cnit": "10d71feda20451b6e8e6c6552f1e1dd47f627f18669f78ccd1d51fc0027d5724",
