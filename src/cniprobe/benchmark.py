@@ -65,11 +65,11 @@ class RunSpec:
     The ``train`` flags, its config-file keys, sweep entries and the
     echoed ``config.json`` all have exactly these fields. ``lr=None``
     means the init mode's default, and ``shots=None`` the whole split.
+    ``seed`` draws the random or partial head, the shots and the batches.
     """
 
     init: str = MODE_CNI
     fraction: float | None = None
-    init_seed: int = 0
     shots: int | None = None
     policy: str = "PL"
     epochs: int = BENCH_EPOCHS
@@ -82,7 +82,7 @@ class RunSpec:
 
     def head_spec(self) -> HeadInitSpec:
         return HeadInitSpec(mode=self.init, fraction=self.fraction,
-                            seed=self.init_seed)
+                            seed=self.seed)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -152,8 +152,8 @@ STUDY_FRACTION = 0.5  # text fraction of the partial head
 
 
 def arm(seed: int, cls: type[RunSpec] = RunSpec, **fields) -> RunSpec:
-    """A run on benchmark seed `seed`, which is also its init and run seed."""
-    return cls(init_seed=seed, seed=seed, **fields)
+    """A run on benchmark seed `seed`, which is also its run seed."""
+    return cls(seed=seed, **fields)
 
 
 def _top1(spec: RunSpec, seed: int, *teacher: RunSpec) -> float:

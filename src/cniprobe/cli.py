@@ -8,8 +8,8 @@ sample-shots, ...). Every field is a flag and a key of the optional
 default, and the resolved spec is echoed into the output directory as
 config.json. A sweep entry is ``{"label": ...}`` plus the keys that
 ``train --config`` accepts. ``study`` prints ``benchmark.study``.
-``--out`` is checked before any input is read and made, by ``_save``,
-only once the results are computed.
+``--out`` must be new or an empty directory; it is checked before any
+input is read and made, by ``_save``, only once the results are computed.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error. Outputs are deterministic given flags and seeds;
@@ -39,7 +39,6 @@ from .errors import (
     CniProbeError,
     ConfigError,
     DataError,
-    LabelOutOfRange,
     NumericalError,
     ParseError,
     ShapeMismatch,
@@ -80,12 +79,15 @@ def _timestamp() -> str:
 
 
 def _check_out(out: Path) -> None:
-    """Raise WriteError unless `out` could be made a directory: the
-    nearest existing path at or above it must be one. Makes nothing."""
+    """Raise WriteError unless `out` is new or an empty directory, and
+    the nearest existing path at or above it is a directory, so that a
+    directory holds one command's outputs. Makes nothing."""
     existing = next((p for p in (out, *out.parents) if p.exists()), out)
     if not existing.is_dir():
         raise WriteError(f"cannot make output directory {out}: "
                          f"{existing} is not a directory")
+    if existing == out and any(out.iterdir()):
+        raise WriteError(f"output directory {out} is not empty")
 
 
 def _save(args, files: dict, spec=None) -> Path:
@@ -252,8 +254,6 @@ def _read_split(doc, base: Path, where: str, num_classes: int) -> EmbeddingDatas
     if labels.shape != tokens.shape[:1]:
         raise ShapeMismatch(f"{where}: labels shape {labels.shape} disagrees "
                             f"with M={tokens.shape[0]}")
-    if np.any(labels != np.round(labels)):
-        raise LabelOutOfRange(f"{where}: labels must be integral")
     return EmbeddingDataset(tokens=tokens, labels=labels,
                             num_classes=num_classes)
 
@@ -359,11 +359,9 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
-    """Entries from the --config file, else shots {1,5} x init {cni,random}.
-
-    An entry's ``init_seed`` and ``seed`` default to the sweep's --seed.
-    """
+def _sweep_entries(path: str | None) -> list[SweepEntry]:
+    """Entries from the --config file, else shots {1,5} x init {cni,random};
+    an entry's unset keys take the defaults of a ``train --config`` file."""
     doc = _read_json(path, ConfigError) if path else {}
     for key in doc:
         if key != "entries":
@@ -378,7 +376,7 @@ def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
     for i, e in enumerate(docs):
         if not isinstance(e, dict) or "label" not in e:
             raise ConfigError(f"sweep entry {i} must be an object with a 'label'")
-        doc = {"init_seed": seed, "seed": seed, **e}
+        doc = dict(e)
         label = str(doc.pop("label"))
         if any(c in label for c in ",\r\n"):
             raise ConfigError(f"sweep entry {i}: label {label!r} must not "
@@ -390,7 +388,7 @@ def _sweep_entries(path: str | None, seed: int) -> list[SweepEntry]:
 
 
 def cmd_sweep(args) -> int:
-    entries = _sweep_entries(args.config, args.seed)
+    entries = _sweep_entries(args.config)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     rows = sweep(bank, train_ds, test_ds, entries)
     lines = ["label,final_top1,error"]
@@ -426,7 +424,7 @@ _COMMANDS = (
     ("synth", "generate a synthetic embedding dataset", cmd_synth,
      SynthSpec, _names(SynthSpec), ()),
     ("init-head", "build a head from the text bank", cmd_init_head,
-     RunSpec, ("init", "fraction", "init_seed"), ("manifest",)),
+     RunSpec, ("init", "fraction", "seed"), ("manifest",)),
     ("sample-shots", "sample a k-shot index subset", cmd_sample_shots,
      ShotSpec, _names(ShotSpec), ("manifest",)),
     ("train", "fine-tune from an initialized head", cmd_train,
@@ -461,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(_flag(name))
         p.set_defaults(func=func, spec_cls=cls, spec_names=names, paths=paths)
-    sweep_parser = sub.choices["sweep"]
-    sweep_parser.add_argument("--seed", type=int, default=0,
-                              help="default init_seed and seed of every entry")
     study = sub.add_parser("study", help="print a study of the benchmark")
     study.add_argument("name", choices=tuple(benchmark.STUDIES))
     study.add_argument("--out", required=True, help="output directory")

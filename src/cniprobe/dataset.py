@@ -35,7 +35,10 @@ class EmbeddingDataset:
 
     def __post_init__(self):
         tokens = np.asarray(self.tokens, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if np.any(labels != np.round(labels)):  # before the int64 cast
+            raise LabelOutOfRange("labels must be integral")
+        labels = labels.astype(np.int64)
         if tokens.ndim != 3:
             raise DataError("tokens must have shape (M, T, D)")
         m, t, d = tokens.shape

@@ -73,6 +73,7 @@ def zero_shot_predictions(bank: TextEmbeddingBank, ds: EmbeddingDataset) -> np.n
 
 
 def zero_shot(bank: TextEmbeddingBank, ds: EmbeddingDataset) -> EvalReport:
-    if bank.num_classes != ds.num_classes:
-        raise ShapeMismatch("bank and dataset disagree on class count")
+    if (bank.num_classes, bank.dim) != (ds.num_classes, ds.dim):
+        raise ShapeMismatch(f"bank (C={bank.num_classes}, D={bank.dim}) and "
+                            f"dataset (C={ds.num_classes}, D={ds.dim}) disagree")
     return _report(ds.labels, zero_shot_predictions(bank, ds), ds.num_classes)

@@ -8,11 +8,14 @@ implementations in other languages:
 * the stream itself: xorshift64* (Vigna's multiplier),
 * shuffling: Fisher-Yates from the top index down, with rejection
   sampling for unbiased bounded draws (drawn in bulk, same draws),
-* uniforms: top 53 bits mapped to (0, 1],
-* gaussians: Box-Muller on those uniforms, pairs cached.
+* uniforms: the top 53 bits of a draw u as ((u >> 11) + 1) / 2^53,
+  in (0, 1],
+* gaussians: Box-Muller on uniform pairs (u1, u2), the cos value
+  first and the sin value kept as the spare for the next draw.
 
-``gaussians(n)`` is the bulk path and returns the bytes of n calls of
-``gaussian()``, leaving the same spare and state. xorshift64* is linear
+``gaussians(n)`` draws in bulk and returns the bytes of n gaussians
+drawn one at a time (tests/test_rng.py transcribes the scalar path),
+leaving the same spare and state. xorshift64* is linear
 over GF(2), with M the step as a 64x64 bit matrix. So after ``_HEAD``
 scalar steps, the k states in hand jump ahead by M^k at once through
 eight byte tables, doubling until there are enough; the table of M^2k
@@ -105,22 +108,6 @@ class Stream:
             if u < limit:
                 return u % n
 
-    def uniform(self) -> float:
-        """Uniform in (0, 1]."""
-        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
-
-    def gaussian(self) -> float:
-        if self._spare_gaussian is not None:
-            z = self._spare_gaussian
-            self._spare_gaussian = None
-            return z
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare_gaussian = r * math.sin(theta)
-        return r * math.cos(theta)
-
     def _draws(self, m: int) -> np.ndarray:
         """m calls of ``next_u64()`` as uint64; see the module docstring."""
         x, head = self._state, []
@@ -135,14 +122,14 @@ class Stream:
         return states * np.uint64(_XORSHIFT_MULT)
 
     def gaussians(self, n: int) -> np.ndarray:
-        """n calls of ``gaussian()`` in bulk, bit for bit."""
+        """The next n gaussians, bit for bit as if drawn one at a time."""
         out = np.empty(n, dtype=np.float64)
         start = 0
         if n and self._spare_gaussian is not None:
             out[0], self._spare_gaussian = self._spare_gaussian, None
             start = 1
         u = self._draws(2 * ((n - start + 1) // 2))
-        u = ((u >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53  # as uniform()
+        u = ((u >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53  # in (0, 1]
         r = np.sqrt(-2.0 * np.fromiter(map(math.log, u[0::2].tolist()), float))
         theta = (2.0 * math.pi * u[1::2]).tolist()
         z = np.empty(len(u), dtype=np.float64)

@@ -68,7 +68,7 @@ def test_synth_rejects_single_class(tmp_path):
 def test_init_head_artifacts(data_dir, tmp_path):
     out = tmp_path / "head"
     args = ["init-head", "--manifest", str(data_dir / "manifest.json"),
-            "--init", "partial", "--fraction", "0.5", "--init-seed", "3",
+            "--init", "partial", "--fraction", "0.5", "--seed", "3",
             "--out", str(out)]
     assert main(args) == 0
     W = read_tensor(out / "params_W.cnit")
@@ -381,7 +381,7 @@ def test_failed_synth_leaves_no_out(tmp_path, capsys, flag, noise):
 @pytest.mark.parametrize("blocked", ["file", "under_file", "metrics.csv",
                                      "sweep.csv", "study.txt"])
 def test_out_that_cannot_be_a_directory_exits_3(data_dir, tmp_path, capsys,
-                                                 blocked):
+                                                 monkeypatch, blocked):
     # a file at or above --out, or a directory where an output file goes
     manifest = str(data_dir / "manifest.json")
     train = ["train", "--manifest", manifest, "--epochs", "0"]
@@ -407,11 +407,36 @@ def test_out_that_cannot_be_a_directory_exits_3(data_dir, tmp_path, capsys,
         assert main(argv + ["--out", out]) == 3, argv[0]
         err = capsys.readouterr().err
         assert err.startswith("error: cannot make output directory" if is_file
-                              else "error: cannot write"), err
+                              else f"error: output directory {out} is not empty"
+                              ), err
     if is_file:
         assert blocker.read_bytes() == b"keep"
-    else:  # the files written before the blocked one are gone
+        return
+    # a directory made after the check blocks its file: the files
+    # written before the blocked one are gone
+    monkeypatch.setattr(cli, "_check_out", lambda out: None)
+    for argv in commands:
+        assert main(argv + ["--out", out]) == 3, argv[0]
+        assert capsys.readouterr().err.startswith("error: cannot write")
         assert [p.name for p in blocker.iterdir()] == [blocked]
+
+
+def test_out_that_holds_files_exits_3_before_any_input_is_read(data_dir,
+                                                               tmp_path):
+    # one directory holds one command's outputs: init-head over a run
+    # would leave the run's metrics beside an untrained model
+    manifest = str(data_dir / "manifest.json")
+    out = tmp_path / "x"
+    assert main(["train", "--manifest", manifest, "--epochs", "2",
+                 "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+    assert main(["init-head", "--manifest", manifest, "--out", str(out)]) == 3
+    assert main(["init-head", "--manifest", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == 3
+    assert _tree_bytes(out) == before
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["init-head", "--manifest", manifest, "--out", str(empty)]) == 0
 
 
 def test_failed_write_leaves_no_files_and_no_new_out(data_dir, tmp_path, capsys,
@@ -497,15 +522,56 @@ def test_init_head_saves_the_start_model_of_a_run(data_dir, tmp_path):
     # a run stores only what it trained; init-head with the run's head
     # settings rebuilds the model it started from
     manifest = str(data_dir / "manifest.json")
-    head = ["--init", "partial", "--fraction", "0.5", "--init-seed", "3"]
+    head = ["--init", "partial", "--fraction", "0.5", "--seed", "3"]
     assert main(["init-head", "--manifest", manifest,
                  "--out", str(tmp_path / "head")] + head) == 0
-    assert main(["train", "--manifest", manifest, "--epochs", "0", "--seed", "9",
+    assert main(["train", "--manifest", manifest, "--epochs", "0",
                  "--out", str(tmp_path / "run")] + head) == 0
     for g in ("A", "a", "q", "W", "b"):
         name = f"params_{g}.cnit"
         assert (tmp_path / "head" / name).read_bytes() == \
             (tmp_path / "run" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("head", [{"init": "random"},
+                                  {"init": "partial", "fraction": 0.5}],
+                         ids=lambda head: head["init"])
+def test_seed_is_the_same_run_on_every_command(data_dir, tmp_path, monkeypatch,
+                                               head):
+    # --seed draws the head, the shots and the batches alike for
+    # init-head, sample-shots, train and a sweep entry
+    manifest = str(data_dir / "manifest.json")
+    flags = [a for k, v in head.items() for a in (f"--{k}", str(v))]
+    flags += ["--manifest", manifest, "--seed", "5"]
+    assert main(["init-head", "--out", str(tmp_path / "head")] + flags) == 0
+    assert main(["train", "--epochs", "0", "--out", str(tmp_path / "start")]
+                + flags) == 0
+    for g in ("A", "a", "q", "W", "b"):
+        name = f"params_{g}.cnit"
+        assert (tmp_path / "head" / name).read_bytes() == \
+            (tmp_path / "start" / name).read_bytes(), name
+
+    trained_on, subset = [], EmbeddingDataset.subset
+    monkeypatch.setattr(EmbeddingDataset, "subset", lambda ds, indices: (
+        trained_on.append(list(indices)) or subset(ds, indices)))
+    assert main(["sample-shots", "--manifest", manifest, "--k", "1",
+                 "--seed", "5", "--out", str(tmp_path / "shots")]) == 0
+    run = {**head, "seed": 5, "shots": 1, "epochs": 6, "batch_size": 4,
+           "eval_every": 3}
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, run)
+    common = ["--manifest", manifest, "--config", str(cfg)]
+    assert main(["train", "--out", str(tmp_path / "run")] + common) == 0
+    shots = json.loads((tmp_path / "shots" / "shots.json").read_text())
+    assert trained_on == [shots["indices"]]
+
+    write_json(cfg, {"entries": [{"label": "x", **run}]})
+    assert main(["sweep", "--out", str(tmp_path / "sweep")] + common) == 0
+    row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1]
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert row == f"x,{summary['final_top1']!r},"
+    with pytest.raises(SystemExit):  # an entries file carries the seed
+        main(["sweep", "--seed", "5", "--out", str(tmp_path / "s")] + common)
 
 
 @pytest.mark.parametrize("argv", [
@@ -580,12 +646,11 @@ def test_sweep_default_grid(data_dir, tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     write_json(cfg, {"entries": [
         {"label": f"{mode}_{k}shot", "init": mode, "shots": k, "epochs": 4,
-         "batch_size": 4, "eval_every": 2}
+         "batch_size": 4, "eval_every": 2, "seed": 1}
         for k in (1, 2) for mode in ("cni", "random")
     ]})
     assert main(["sweep", "--manifest", str(data_dir / "manifest.json"),
-                 "--seed", "1", "--config", str(cfg),
-                 "--out", str(out)]) == 0
+                 "--config", str(cfg), "--out", str(out)]) == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "label,final_top1,error"
     assert len(lines) == 5
@@ -683,7 +748,8 @@ def test_fraction_without_partial_init_exits_2_before_input_is_read(
         assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["warmup_steps", "min_lr", "train_fraction"])
+@pytest.mark.parametrize("name", ["warmup_steps", "min_lr", "train_fraction",
+                                  "init_seed"])
 def test_removed_setting_fails_loudly(tmp_path, capsys, name):
     missing = str(tmp_path / "missing.json")
     out = tmp_path / "out"

@@ -119,6 +119,14 @@ def test_class_count_mismatch_rejected(tiny_problem):
         zero_shot(other, train_ds)
 
 
+def test_zero_shot_rejects_a_bank_of_another_dim(tiny_problem):
+    train_ds, _, _ = tiny_problem  # D = 8
+    other = TextEmbeddingBank(
+        embeddings=np.random.default_rng(0).normal(size=(2, 3, 5)))
+    with pytest.raises(ShapeMismatch, match="D=5"):
+        zero_shot(other, train_ds)
+
+
 def test_report_serializes_to_plain_json(tiny_problem):
     _, test_ds, bank = tiny_problem
     doc = zero_shot(bank, test_ds).to_json_dict()

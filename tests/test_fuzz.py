@@ -161,6 +161,6 @@ def test_fuzzed_sweep_entries(entries):
         path = Path(tmp) / "sweep.json"
         path.write_text(json.dumps({"entries": entries}))
         try:
-            cli._sweep_entries(str(path), 0)
+            cli._sweep_entries(str(path))
         except CniProbeError:
             pass

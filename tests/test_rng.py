@@ -27,11 +27,13 @@ def ref_splitmix64_at(seed: int, k: int) -> int:
 
 
 class RefStream:
-    """Independent transcription of the xorshift64* stream."""
+    """Independent transcription of the xorshift64* stream, drawing one
+    value at a time."""
 
     def __init__(self, seed: int):
         state = ref_splitmix64_at(seed & MASK, 0)
         self.state = state if state != 0 else GAMMA
+        self.spare = None
 
     def next_u64(self) -> int:
         x = self.state
@@ -47,6 +49,20 @@ class RefStream:
             u = self.next_u64()
             if u < limit:
                 return u % n
+
+    def uniform(self) -> float:
+        """Uniform in (0, 1]."""
+        return ((self.next_u64() >> 11) + 1) * 2.0 ** -53
+
+    def gaussian(self) -> float:
+        """Box-Muller: the cos value now, the sin value on the next call."""
+        if self.spare is not None:
+            z, self.spare = self.spare, None
+            return z
+        u1, u2 = self.uniform(), self.uniform()
+        r = math.sqrt(-2.0 * math.log(u1))
+        self.spare = r * math.sin(2.0 * math.pi * u2)
+        return r * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
@@ -87,10 +103,12 @@ def test_stream_never_yields_zero():
 @given(st.integers(min_value=0, max_value=MASK))
 @settings(max_examples=30)
 def test_uniform_in_half_open_unit_interval(seed):
-    s = Stream(seed)
+    # the uniforms under every gaussian: so log(u1) is finite
+    s = RefStream(seed)
     for _ in range(100):
         u = s.uniform()
         assert 0.0 < u <= 1.0
+    assert np.isfinite(Stream(seed).gaussians(200)).all()
 
 
 @given(st.integers(min_value=0, max_value=1 << 32), st.integers(min_value=1, max_value=1000))
@@ -188,22 +206,17 @@ def test_permutation_contains_each_index_once():
 
 def test_gaussian_matches_box_muller_transcription():
     for seed in (0, 7, 123456):
-        uni = Stream(seed)
-        ref = []
-        for _ in range(10):
-            u1, u2 = uni.uniform(), uni.uniform()
-            r = math.sqrt(-2.0 * math.log(u1))
-            ref.append(r * math.cos(2.0 * math.pi * u2))
-            ref.append(r * math.sin(2.0 * math.pi * u2))
+        ref = RefStream(seed)
         got = Stream(seed).gaussians(20)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=0)
+        np.testing.assert_allclose(got, [ref.gaussian() for _ in range(20)],
+                                   rtol=0, atol=0)
 
 
 def test_gaussian_spare_survives_odd_draws():
-    a = Stream(5)
-    singles = [a.gaussian() for _ in range(6)]
-    b = Stream(5)
-    np.testing.assert_array_equal(b.gaussians(6), singles)
+    a, ref = Stream(5), RefStream(5)
+    singles = np.concatenate([a.gaussians(1) for _ in range(6)])
+    np.testing.assert_array_equal(singles, [ref.gaussian() for _ in range(6)])
+    np.testing.assert_array_equal(Stream(5).gaussians(6), singles)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, 65, 1023, 1024, 1025,
@@ -211,13 +224,13 @@ def test_gaussian_spare_survives_odd_draws():
 def test_bulk_gaussians_are_the_scalar_draws(n):
     # the bulk path takes 32 scalar states, then doubles the states it has
     # by jumping each ahead; these n (2n uniforms) straddle the doublings
-    bulk, scalar = Stream(n + 11), Stream(n + 11)
-    for lead in (0, 1, 0, 1):  # an odd scalar draw leaves a spare behind
+    bulk, scalar = Stream(n + 11), RefStream(n + 11)
+    for lead in (0, 1, 0, 1):  # an odd single draw leaves a spare behind
         for _ in range(lead):
-            assert bulk.gaussian() == scalar.gaussian()
+            assert bulk.gaussians(1)[0] == scalar.gaussian()
         ref = np.array([scalar.gaussian() for _ in range(n)], dtype=np.float64)
         assert bulk.gaussians(n).tobytes() == ref.tobytes()
-    assert bulk.gaussian() == scalar.gaussian()
+    assert bulk.gaussians(1)[0] == scalar.gaussian()
     assert bulk.next_u64() == scalar.next_u64()
 
 
