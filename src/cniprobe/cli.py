@@ -29,8 +29,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-import numpy as np
-
 from . import benchmark
 from .benchmark import DistillSpec, RunSpec, fit
 from .dataset import (EmbeddingDataset, ShotSpec, SynthSpec, make_synthetic,
@@ -41,7 +39,6 @@ from .errors import (
     DataError,
     NumericalError,
     ParseError,
-    ShapeMismatch,
     WriteError,
 )
 from .evaluate import top1, zero_shot
@@ -239,6 +236,15 @@ def _strings(doc: dict, key: str, where: str) -> list[str]:
     return [str(s) for s in value]
 
 
+def _named(where: str | Path, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a DataError it raises names `where` first."""
+    try:
+        return cls(*args, **kwargs)
+    except DataError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def _read_split(doc, base: Path, where: str, num_classes: int) -> EmbeddingDataset:
     """One split's tensor pair; T and D come from the tokens, C from the bank."""
     if not isinstance(doc, dict):
@@ -246,16 +252,10 @@ def _read_split(doc, base: Path, where: str, num_classes: int) -> EmbeddingDatas
     for key in ("tokens", "labels"):
         if key not in doc:
             raise ParseError(f"{where}: split missing field {key!r}")
-    tokens = read_tensor(base / str(doc["tokens"]))
-    if tokens.ndim != 3:
-        raise ShapeMismatch(f"{where}: tokens shape {tokens.shape} "
-                            "is not (M, T, D)")
-    labels = read_tensor(base / str(doc["labels"]))
-    if labels.shape != tokens.shape[:1]:
-        raise ShapeMismatch(f"{where}: labels shape {labels.shape} disagrees "
-                            f"with M={tokens.shape[0]}")
-    return EmbeddingDataset(tokens=tokens, labels=labels,
-                            num_classes=num_classes)
+    return _named(where, EmbeddingDataset,
+                  tokens=read_tensor(base / str(doc["tokens"])),
+                  labels=read_tensor(base / str(doc["labels"])),
+                  num_classes=num_classes)
 
 
 def load_experiment(manifest_path: str | Path):
@@ -274,14 +274,11 @@ def load_experiment(manifest_path: str | Path):
     bank_doc = doc["bank"]
     if not isinstance(bank_doc, dict) or "embeddings" not in bank_doc:
         raise ParseError(f"{path}: bank section needs an 'embeddings' path")
-    emb = read_tensor(base / str(bank_doc["embeddings"]))
-    if emb.ndim != 3:
-        raise ParseError(f"{path}: bank tensor must have shape (N, C, D)")
-    bank = TextEmbeddingBank(
-        embeddings=emb.astype(np.float64),
-        prompt_templates=_strings(bank_doc, "prompt_templates", f"{path}: bank"),
-        class_names=_strings(bank_doc, "class_names", f"{path}: bank"),
-    )
+    where = f"{path}: bank"
+    bank = _named(where, TextEmbeddingBank,
+                  embeddings=read_tensor(base / str(bank_doc["embeddings"])),
+                  prompt_templates=_strings(bank_doc, "prompt_templates", where),
+                  class_names=_strings(bank_doc, "class_names", where))
     train_ds, test_ds = (_read_split(doc[key], base, f"{path}: {key}",
                                      bank.num_classes)
                          for key in ("train", "test"))
@@ -300,8 +297,8 @@ def _model_files(params: ModelParams) -> dict:
 def _read_params(path: str | Path) -> ModelParams:
     """The model that ``init-head``, ``train`` or ``distill`` saved in `path`."""
     d = Path(path)
-    return ModelParams(*(read_tensor(d / f"params_{n}.cnit")
-                         for n in TRAINABLE[POLICY_ALL]))
+    return _named(d, ModelParams, *(read_tensor(d / f"params_{n}.cnit")
+                                    for n in TRAINABLE[POLICY_ALL]))
 
 
 # --- subcommands --------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InsufficientExamples, LabelOutOfRange
+from .errors import (ConfigError, DataError, InsufficientExamples, LabelOutOfRange,
+                     ShapeMismatch)
 from .headinit import TextEmbeddingBank
 from .rng import Stream, substream_seed
 
@@ -36,18 +37,18 @@ class EmbeddingDataset:
     def __post_init__(self):
         tokens = np.asarray(self.tokens, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if np.any(labels != np.round(labels)):  # before the int64 cast
-            raise LabelOutOfRange("labels must be integral")
-        labels = labels.astype(np.int64)
         if tokens.ndim != 3:
-            raise DataError("tokens must have shape (M, T, D)")
+            raise ShapeMismatch(f"tokens shape {tokens.shape} is not (M, T, D)")
         m, t, d = tokens.shape
         if m < 1 or t < 1 or d < 1:
             raise DataError(f"dataset requires M,T,D >= 1, got {tokens.shape}")
         if labels.shape != (m,):
-            raise DataError(f"labels shape {labels.shape} != ({m},)")
+            raise ShapeMismatch(f"labels shape {labels.shape} != ({m},)")
         if self.num_classes < 1:
             raise DataError("num_classes must be >= 1")
+        # both checks come before the int64 cast
+        if np.any(labels != np.round(labels)):
+            raise LabelOutOfRange("labels must be integral")
         if labels.min() < 0 or labels.max() >= self.num_classes:
             raise LabelOutOfRange(
                 f"labels must lie in [0, {self.num_classes})"
@@ -55,7 +56,7 @@ class EmbeddingDataset:
         if not np.all(np.isfinite(tokens)):
             raise DataError("tokens contain NaN or Inf")
         self.tokens = tokens
-        self.labels = labels
+        self.labels = labels.astype(np.int64)
 
     @property
     def num_examples(self) -> int:

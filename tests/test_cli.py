@@ -290,6 +290,30 @@ def test_eval_accepts_trained_params(data_dir, tmp_path):
     assert 0.0 <= doc["report"]["top1"] <= 1.0
 
 
+@pytest.mark.parametrize("case", ["split", "bank", "eval_params", "teacher"])
+def test_data_errors_name_their_source(data_dir, tmp_path, capsys, case):
+    # faults only EmbeddingDataset, TextEmbeddingBank or ModelParams see:
+    # the error line starts with the split, the bank or the params directory
+    manifest, run = data_dir / "manifest.json", tmp_path / "run"
+    assert main(["init-head", "--manifest", str(manifest), "--out", str(run)]) == 0
+    labels = read_tensor(data_dir / "train_labels.cnit")
+    labels[1] = 0.5
+    path, tensor, argv, source = {
+        "split": (data_dir / "train_labels.cnit", labels,
+                  ["eval", "--zero-shot"], f"{manifest}: train"),
+        "bank": (data_dir / "bank.cnit", np.ones((2, 1, 8)),
+                 ["eval", "--zero-shot"], f"{manifest}: bank"),
+        "eval_params": (run / "params_W.cnit", np.ones((3, 5)),
+                        ["eval", "--params", str(run)], str(run)),
+        "teacher": (run / "params_W.cnit", np.ones((3, 5)),
+                    ["distill", "--teacher", str(run)], str(run)),
+    }[case]
+    write_tensor(path, tensor)
+    assert main(argv + ["--manifest", str(manifest),
+                        "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {source}: ")
+
+
 @pytest.fixture(scope="module")
 def bench_experiment(tmp_path_factory):
     """A benchmark-sized synthetic experiment (synth defaults, seed 3)."""
@@ -629,7 +653,7 @@ def test_oversized_shot_request_is_data_error(data_dir, tmp_path):
     assert not (tmp_path / "s").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # reported once, as the error
 def test_divergence_is_numerical_error_and_writes_nothing(data_dir, tmp_path,
                                                           capsys):
     out = tmp_path / "r"

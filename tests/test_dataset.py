@@ -100,8 +100,10 @@ def test_shot_spec_validation():
 def test_dataset_validation():
     with pytest.raises(LabelOutOfRange):
         _flat_ds([0, 2], 2)
-    for labels in ([0.0, 0.7, 1.9], [0.0, np.nan, 1.0]):  # not cast to [0, 0, 1]
-        with pytest.raises(LabelOutOfRange, match="integral"):
+    for labels, why in (([0.0, 0.7, 1.9], "integral"),  # not cast to [0, 0, 1]
+                        ([0.0, np.nan, 1.0], "integral"),
+                        ([0.0, 1e30, 1.0], "must lie in")):  # checked before the cast
+        with pytest.raises(LabelOutOfRange, match=why):
             _flat_ds(labels, 2)
     assert _flat_ds([0.0, 1.0, 1.0], 2).labels.dtype == np.int64
     with pytest.raises(DataError):

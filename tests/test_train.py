@@ -183,7 +183,7 @@ def test_sweep_order_and_error_capture(tiny_problem):
     assert rows[0].error is None and rows[2].error is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # reported once, as the error
 def test_divergence_raises_and_becomes_a_sweep_row(tiny_problem, tiny_cni_params):
     train_ds, test_ds, bank = tiny_problem
     cfg = _cfg(policy="ALL", base_lr=1e30, epochs=20)
