@@ -45,17 +45,9 @@ BENCH_BATCH = 32
 DISTILL_WEIGHT = 1.0
 DISTILL_TEMPERATURE = 2.0
 
-_MODE_LR = {MODE_CNI: CNI_LR, MODE_RANDOM: RANDOM_LR, MODE_PARTIAL: CNI_LR}
-
-
 def make_benchmark(seed: int) -> tuple[EmbeddingDataset, EmbeddingDataset, TextEmbeddingBank]:
     """Train split, test split, and text bank for one benchmark seed."""
     return make_synthetic(SynthSpec(seed=seed))
-
-
-def default_lr(init_mode: str) -> float:
-    """Benchmark default initial LR for a head-initialization mode."""
-    return _MODE_LR.get(init_mode, CNI_LR)
 
 
 @dataclass(frozen=True)
@@ -87,7 +79,8 @@ class RunSpec:
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs, batch_size=self.batch_size,
-            base_lr=default_lr(self.init) if self.lr is None else self.lr,
+            base_lr=self.lr if self.lr is not None
+            else RANDOM_LR if self.init == MODE_RANDOM else CNI_LR,
             loss=LossConfig(label_smoothing=self.label_smoothing,
                             anchor_lambda=self.anchor_lambda),
             policy=self.policy, seed=self.seed, eval_every=self.eval_every,
@@ -212,9 +205,5 @@ def _distill(seeds) -> list[str]:
     return lines
 
 
+# name -> the lines of that study over a tuple of benchmark seeds
 STUDIES = {"inits": _inits, "anchor": _anchor, "distill": _distill}
-
-
-def study(name: str, seeds=BENCHMARK_SEEDS) -> list[str]:
-    """The lines of the study `name` (a key of STUDIES) over `seeds`."""
-    return STUDIES[name](tuple(seeds))

@@ -7,9 +7,12 @@ sample-shots, ...). Every field is a flag and a key of the optional
 --config JSON file; a flag beats a config key, which beats the
 default, and the resolved spec is echoed into the output directory as
 config.json. A sweep entry is ``{"label": ...}`` plus the keys that
-``train --config`` accepts. ``study`` prints ``benchmark.study``.
-``--out`` must be new or an empty directory; it is checked before any
-input is read and made, by ``_save``, only once the results are computed.
+``train --config`` accepts. ``study`` prints ``benchmark.STUDIES[name]``.
+
+``main`` runs each command in one order: check that ``--out`` is new or
+an empty directory, check every setting (``_resolve``), call the handler,
+which reads its inputs and computes its files and message, write the
+files (``_save``) and print the message.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 numerical error. Outputs are deterministic given flags and seeds;
@@ -87,7 +90,7 @@ def _check_out(out: Path) -> None:
         raise WriteError(f"output directory {out} is not empty")
 
 
-def _save(args, files: dict, spec=None) -> Path:
+def _save(args, files: dict, spec=None) -> None:
     """Make ``--out`` and write `files` into it, by name: an array as
     CNIT, a dict as JSON, a string as text; then echo `spec`, the
     resolved settings, as config.json. Any failure is a WriteError and
@@ -118,7 +121,6 @@ def _save(args, files: dict, spec=None) -> Path:
         if isinstance(exc, WriteError):
             raise
         raise WriteError(f"cannot write to {out}: {exc}") from exc
-    return out
 
 
 def _read_json(path: str | Path, error: type[CniProbeError]) -> dict:
@@ -196,19 +198,26 @@ def _build_spec(cls, names: tuple[str, ...], doc: dict, where: str,
 
 
 def _resolve(args):
-    """The command's spec from its flags and --config file."""
+    """The command's spec from its flags and --config file, or None for a
+    command without one. A RunSpec also builds its head spec and train
+    config, so every setting is checked, and gets its default lr."""
+    if args.spec_cls is None:
+        return None
     names = args.spec_names
     doc = _read_json(args.config, ConfigError) if args.config else {}
-    return _build_spec(args.spec_cls, names, doc, args.config,
+    spec = _build_spec(args.spec_cls, names, doc, args.config,
                        {n: getattr(args, n) for n in names})
+    if isinstance(spec, RunSpec):
+        spec.head_spec()
+        spec = replace(spec, lr=spec.train_config().base_lr)
+    return spec
 
 
 # --- experiment manifest: cmd_synth writes it, load_experiment reads it ------
 
-def cmd_synth(args) -> int:
-    spec = _resolve(args)
+def cmd_synth(args, spec: SynthSpec) -> tuple[dict, str]:
     train_ds, test_ds, bank = make_synthetic(spec)
-    out = _save(args, {
+    return {
         "train_tokens.cnit": train_ds.tokens,
         "train_labels.cnit": train_ds.labels,
         "test_tokens.cnit": test_ds.tokens,
@@ -223,9 +232,7 @@ def cmd_synth(args) -> int:
                      "class_names": bank.class_names},
             "generator": asdict(spec),
         },
-    }, spec)
-    print(f"wrote synthetic dataset to {out}")
-    return 0
+    }, f"wrote synthetic dataset to {Path(args.out)}"
 
 
 def _strings(doc: dict, key: str, where: str) -> list[str]:
@@ -301,59 +308,44 @@ def _read_params(path: str | Path) -> ModelParams:
                                     for n in TRAINABLE[POLICY_ALL]))
 
 
-# --- subcommands --------------------------------------------------------------
+# --- subcommands: (args, spec) -> (files to save, message to print) ----------
 
-def cmd_init_head(args) -> int:
-    run = _resolve(args)
+def cmd_init_head(args, run: RunSpec) -> tuple[dict, str]:
     spec = run.head_spec()
     _, _, bank = load_experiment(args.manifest)
     head = init_head(spec, average_text_embeddings(bank), bank.num_classes, bank.dim)
-    out = _save(args, {**_model_files(init_params(head)),
-                       "head.json": {"provenance": head.init_provenance}}, run)
-    print(f"wrote head ({spec.mode}) to {out}")
-    return 0
+    return ({**_model_files(init_params(head)),
+             "head.json": {"provenance": head.init_provenance}},
+            f"wrote head ({spec.mode}) to {Path(args.out)}")
 
 
-def cmd_sample_shots(args) -> int:
-    spec = _resolve(args)
+def cmd_sample_shots(args, spec: ShotSpec) -> tuple[dict, str]:
     train_ds, _, _ = load_experiment(args.manifest)
     indices = sample_k_shot(train_ds, spec)
-    out = _save(args, {"shots.json": {"indices": indices, "k": spec.k,
-                                      "seed": spec.seed}}, spec)
-    print(f"wrote {len(indices)} indices to {out / 'shots.json'}")
-    return 0
+    return ({"shots.json": {"indices": indices, "k": spec.k, "seed": spec.seed}},
+            f"wrote {len(indices)} indices to {Path(args.out) / 'shots.json'}")
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, spec: RunSpec) -> tuple[dict, str]:
     """``train`` and ``distill``: ``fit`` the spec."""
-    spec = _resolve(args)
-    spec.head_spec()  # validate before any input is read
-    cfg = spec.train_config()
     teacher = _read_params(args.teacher) if "teacher" in args.paths else None
     train_ds, test_ds, bank = load_experiment(args.manifest)
     params, history = fit(spec, train_ds, test_ds, bank, teacher)
-    files = {**_model_files(params), "metrics.csv": history.to_csv(),
+    return ({**_model_files(params), "metrics.csv": history.to_csv(),
              "summary.json": {"final_top1": history.final.test_top1,
                               "final_epoch": history.final.epoch,
-                              "generated_at": _timestamp()}}
-    # echo the resolved default LR, not the None sentinel
-    _save(args, files, replace(spec, lr=cfg.base_lr))
-    print(f"final_top1={history.final.test_top1!r}")
-    return 0
+                              "generated_at": _timestamp()}},
+            f"final_top1={history.final.test_top1!r}")
 
 
-def cmd_eval(args) -> int:
-    spec = _resolve(args)
+def cmd_eval(args, spec: EvalSpec) -> tuple[dict, str]:
     train_ds, test_ds, bank = load_experiment(args.manifest)
     ds = test_ds if spec.split == "test" else train_ds
-    if spec.zero_shot:
-        report = zero_shot(bank, ds)
-    else:
-        report = top1(_read_params(spec.params), ds)
-    _save(args, {"eval.json": {"generated_at": _timestamp(),
-                               "report": report.to_json_dict()}}, spec)
-    print(f"top1={report.top1!r}")
-    return 0
+    report = (zero_shot(bank, ds) if spec.zero_shot
+              else top1(_read_params(spec.params), ds))
+    return ({"eval.json": {"generated_at": _timestamp(),
+                           "report": report.to_json_dict()}},
+            f"top1={report.top1!r}")
 
 
 def _sweep_entries(path: str | None) -> list[SweepEntry]:
@@ -384,29 +376,24 @@ def _sweep_entries(path: str | None) -> list[SweepEntry]:
     return entries
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, _) -> tuple[dict, str]:
     entries = _sweep_entries(args.config)
     train_ds, test_ds, bank = load_experiment(args.manifest)
     rows = sweep(bank, train_ds, test_ds, entries)
     lines = ["label,final_top1,error"]
     for r in rows:
         acc = "" if r.final_top1 is None else repr(r.final_top1)
-        err = r.error or ""
-        lines.append(f"{r.label},{acc},{err.replace(',', ';')}")
-    text = "\n".join(lines) + "\n"
+        lines.append(f"{r.label},{acc},{(r.error or '').replace(',', ';')}")
+    text = "\n".join(lines)
     summary = {"rows": [{"label": r.label, "final_top1": r.final_top1,
                          "error": r.error} for r in rows],
                "generated_at": _timestamp()}
-    _save(args, {"sweep.csv": text, "summary.json": summary})
-    print(text, end="")
-    return 0
+    return {"sweep.csv": text + "\n", "summary.json": summary}, text
 
 
-def cmd_study(args) -> int:
-    text = "\n".join(benchmark.study(args.name, args.seeds)) + "\n"
-    _save(args, {"study.txt": text})
-    print(text, end="")
-    return 0
+def cmd_study(args, _) -> tuple[dict, str]:
+    text = "\n".join(benchmark.STUDIES[args.name](tuple(args.seeds)))
+    return {"study.txt": text + "\n"}, text
 
 
 # --- parser -------------------------------------------------------------------
@@ -462,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--seeds", type=int, nargs="+",
                        default=benchmark.BENCHMARK_SEEDS,
                        help="benchmark seeds (default: all five)")
-    study.set_defaults(func=cmd_study)
+    study.set_defaults(func=cmd_study, spec_cls=None)
     return parser
 
 
@@ -470,7 +457,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_out(Path(args.out))
-        return args.func(args)
+        spec = _resolve(args)
+        files, message = args.func(args, spec)
+        _save(args, files, spec)
+        print(message)
+        return 0
     except CniProbeError as exc:  # ConfigError and any other: 2
         print(f"error: {exc}", file=sys.stderr)
         return (4 if isinstance(exc, NumericalError)

@@ -40,9 +40,8 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 class AdafactorState:
     """Buffers over the trainable suffix, sized by the first step: ``mom``,
     ``vhat`` (a vector's span is its second moment, a matrix's is rebuilt
-    from its ``factors``) and scratch. One reduction over the stacked rows
-    of D from the first matrix to the last gives ``rows``, the row mean
-    squares; for ALL, the rows of a and q ride along unused."""
+    from its ``factors``) and scratch. Each matrix owns its row and column
+    mean squares."""
 
     def __init__(self):
         self.step = 0
@@ -57,16 +56,10 @@ class AdafactorState:
         spans = [slice(end - g.size, end) for g, end in zip(groups, ends)]
         self.update, self.sq, self.sq_update, self.mom, self.vhat = np.zeros((5, ends[-1]))
         self.clip = [(self.update[s], self.sq_update[s]) for s in spans]
-        matrices = {n: s for n, g, s in zip(names, groups, spans) if g.ndim == 2}
-        width, first = params.dim, min(s.start for s in matrices.values())
-        last = max(s.stop for s in matrices.values())
-        self.rows = np.zeros((last - first) // width)
-        self.stacked_sq = self.sq[first:last].reshape(-1, width)
         self.factors = {  # name -> (row, column mean squares, spans of sq, vhat)
-            n: (self.rows[(s.start - first) // width:(s.stop - first) // width],
-                np.zeros(width), self.sq[s].reshape(-1, width),
-                self.vhat[s].reshape(-1, width))
-            for n, s in matrices.items()}
+            n: (np.zeros(g.shape[0]), np.zeros(g.shape[1]),
+                self.sq[s].reshape(g.shape), self.vhat[s].reshape(g.shape))
+            for n, g, s in zip(names, groups, spans) if g.ndim == 2}
 
 
 def adafactor_step(state: AdafactorState, params: ModelParams,
@@ -75,8 +68,9 @@ def adafactor_step(state: AdafactorState, params: ModelParams,
 
     ``grads`` holds one policy's groups in buffer order, as ``backward``
     returns them; the others are never touched, which is how a policy
-    freezes them. The column sums and the RMS clip run group by group, as
-    ``np.add.reduceat`` would move their bits. A mean is ``sum / n``."""
+    freezes them. The row and column sums and the RMS clip run group by
+    group, as ``np.add.reduceat`` would move their bits. A mean is
+    ``sum / n``."""
     layout = [(n, g.shape) for n, g in grads.items()]
     if state.layout is None:
         state._start(params, tuple(grads))
@@ -92,14 +86,13 @@ def adafactor_step(state: AdafactorState, params: ModelParams,
     sq += EPS1
     vhat *= b2
     vhat += new2 * sq
-    r = state.rows
-    r *= b2
-    r += new2 * (np.add.reduce(state.stacked_sq, axis=1) / params.dim)
-    for rm, c, sq_m, vhat_m in state.factors.values():
-        n = rm.size
+    for r, c, sq_m, vhat_m in state.factors.values():
+        n, m = sq_m.shape
+        r *= b2
+        r += new2 * (np.add.reduce(sq_m, axis=1) / m)
         c *= b2
         c += new2 * (np.add.reduce(sq_m, axis=0) / n)
-        np.multiply((rm / (np.add.reduce(rm) / n))[:, None], c, out=vhat_m)
+        np.multiply((r / (np.add.reduce(r) / n))[:, None], c, out=vhat_m)
     update /= np.sqrt(vhat)
 
     np.multiply(update, update, out=state.sq_update)

@@ -165,7 +165,6 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
     shuffle = Stream(substream_seed(cfg.seed, _SHUFFLE_STREAM))
     state = AdafactorState()
     step = 0
-    lr = 0.0
     # A diverging run overflows on its way to the NumericalError that
     # evaluate raises, which is its only report.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,7 +4,7 @@ Each test prints one ``criterion N: PASS/FAIL`` line (run pytest with
 ``-s`` to see the lines for passing tests too) and then asserts the
 stated property at the stated tolerance. Training runs go through
 ``benchmark.run``, which caches them per process, so criteria share
-arms with each other and with ``benchmark.study``; everything is
+arms with each other and with ``benchmark.STUDIES``; everything is
 deterministic, so reruns reproduce the same numbers bit-for-bit.
 
 Known state: criterion 5 checks the anchored-L2 penalty in both

@@ -15,7 +15,8 @@ from cniprobe import cli, tensorio
 from cniprobe.benchmark import RunSpec, make_benchmark
 from cniprobe.cli import build_parser, load_experiment, main
 from cniprobe.dataset import EmbeddingDataset, SynthSpec
-from cniprobe.errors import LabelOutOfRange, ParseError, ShapeMismatch, WriteError
+from cniprobe.errors import (DataError, LabelOutOfRange, ParseError,
+                             ShapeMismatch, WriteError)
 from cniprobe.evaluate import predictions
 from cniprobe.model import forward_from, prefix
 from cniprobe.tensorio import read_tensor, write_json, write_tensor
@@ -374,6 +375,39 @@ def test_missing_manifest_is_data_error(tmp_path):
     code = main(["eval", "--manifest", str(tmp_path / "no.json"),
                  "--zero-shot", "--out", str(tmp_path / "e")])
     assert code == 3
+
+
+@pytest.mark.parametrize("text, message", [("{", "invalid JSON"),
+                                           ("[]", "must be a JSON object")],
+                         ids=["invalid", "not_object"])
+@pytest.mark.parametrize("role, code", [("config", 2), ("manifest", 3)])
+def test_json_input_must_be_an_object(data_dir, tmp_path, capsys, text,
+                                      message, role, code):
+    # a bad --config file is a configuration error, a bad manifest a data error
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    write_json(tmp_path / "good.json", {})
+    paths = {"config": str(tmp_path / "good.json"),
+             "manifest": str(data_dir / "manifest.json")}
+    paths[role] = str(bad)
+    out = tmp_path / "out"
+    assert main(["eval", "--zero-shot", "--manifest", paths["manifest"],
+                 "--config", paths["config"], "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_norm_token_mean_is_numerical_error(data_dir, tmp_path, capsys):
+    # tokens t and -t average to zero, which has no cosine to any text row
+    path = data_dir / "train_tokens.cnit"
+    tokens = read_tensor(path)
+    tokens[0, 1] = -tokens[0, 0]
+    write_tensor(path, tokens)
+    out = tmp_path / "out"
+    assert main(["eval", "--zero-shot", "--split", "train", "--manifest",
+                 str(data_dir / "manifest.json"), "--out", str(out)]) == 4
+    assert "zero norm" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -742,17 +776,27 @@ def test_sweep_entry_out_of_range_exits_2_before_any_run(data_dir, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--lr", "0"), ("--lr", "-1"), ("--shots", "0"),
-    ("--batch-size", "0"), ("--epochs", "-1"),
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["train", flag, value], "must be", id=f"{flag}-{value}")
+    for flag, value in (("--lr", "0"), ("--lr", "-1"), ("--shots", "0"),
+                        ("--batch-size", "0"), ("--epochs", "-1"))] + [
+    pytest.param(["synth", "--classes", "1"], "classes must be", id="synth"),
+    pytest.param(["init-head", "--init", "bogus"], "unknown head init mode",
+                 id="init-head"),
+    pytest.param(["sample-shots", "--k", "0"], "k must be", id="sample-shots"),
+    pytest.param(["distill", "--epochs", "-1", "--teacher", "missing"],
+                 "epochs must be", id="distill"),
+    pytest.param(["eval", "--zero-shot", "--split", "bogus"], "unknown split",
+                 id="eval"),
 ])
 def test_out_of_range_setting_exits_2_before_input_is_read(tmp_path, capsys,
-                                                           flag, value):
+                                                           argv, message):
+    # every input named here is missing, so reading one would exit 3
     out = tmp_path / "out"
-    code = main(["train", "--manifest", str(tmp_path / "missing.json"),
-                 flag, value, "--out", str(out)])
-    assert code == 2
-    assert "must be" in capsys.readouterr().err
+    manifest = [] if argv[0] == "synth" else [
+        "--manifest", str(tmp_path / "missing.json")]
+    assert main(argv + manifest + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -967,6 +1011,12 @@ def _labels(values):
                  id="out_of_range_labels"),
     pytest.param(lambda doc, root: doc["bank"].update(prompt_templates=3),
                  ParseError, id="bank_names_not_list"),
+    pytest.param(lambda doc, root: doc.pop("test"), ParseError,
+                 id="missing_test"),
+    pytest.param(lambda doc, root: doc["bank"].pop("embeddings"), ParseError,
+                 id="bank_without_embeddings"),
+    pytest.param(lambda doc, root: doc["bank"].update(class_names=["x"]),
+                 DataError, id="bank_class_names_length"),
     pytest.param(lambda doc, root: write_tensor(root / "bank.cnit",
                                                 np.eye(2, 4)[None]),
                  ParseError, id="bank_dim"),

@@ -108,6 +108,8 @@ def test_dataset_validation():
     assert _flat_ds([0.0, 1.0, 1.0], 2).labels.dtype == np.int64
     with pytest.raises(DataError):
         EmbeddingDataset(tokens=np.ones((2, 2)), labels=np.zeros(2), num_classes=1)
+    with pytest.raises(DataError, match="num_classes"):
+        EmbeddingDataset(tokens=np.ones((2, 1, 2)), labels=np.zeros(2), num_classes=0)
     with pytest.raises(DataError):
         bad = np.ones((2, 1, 2))
         bad[0, 0, 0] = np.nan

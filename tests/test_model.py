@@ -482,6 +482,8 @@ def test_model_params_validation():
     with pytest.raises(ShapeMismatch):
         ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
                     W=np.zeros((2, 4)), b=np.zeros(2))
+    with pytest.raises(ShapeMismatch, match="is not"):
+        init_params(Head(W=np.zeros(3), init_provenance=[]))
 
 
 def test_params_copy_is_deep(rng):

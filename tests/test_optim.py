@@ -73,18 +73,16 @@ def test_factored_state_memory_layout():
     # the matrix keeps n + m second-moment values, the vector all of its own
     assert [(r.shape, c.shape) for r, c, *_ in state.factors.values()] == \
         [((5,), (7,))]
-    assert state.rows.size == 5
     assert "b" not in state.factors
     assert state.vhat.shape == state.mom.shape == (5 * 7 + 5,)
     np.testing.assert_array_equal(state.vhat[35:], np.ones(5) + EPS1)
-    # under ALL the rows of a and q, between A and W, ride in the row buffer
+    # under ALL each matrix owns its row buffer, of D rows for A and C for W
     state = AdafactorState()
     grads = {n: np.ones(p.group(n).shape) for n in TRAINABLE["ALL"]}
     adafactor_step(state, p, grads, lr=0.01)
     assert {n: (r.size, c.size) for n, (r, c, *_) in state.factors.items()} == \
         {"A": (7, 7), "W": (5, 7)}
-    assert state.rows.size == 7 + 2 + 5
-    assert np.shares_memory(state.factors["W"][0], state.rows[9:])
+    assert not np.shares_memory(state.factors["A"][0], state.factors["W"][0])
 
 
 def test_missing_gradient_entry_freezes_param():
