@@ -57,7 +57,8 @@ class RunSpec:
     The ``train`` flags, its config-file keys, sweep entries and the
     echoed ``config.json`` all have exactly these fields. ``lr=None``
     means the init mode's default, and ``shots=None`` the whole split.
-    ``seed`` draws the random or partial head, the shots and the batches.
+    ``seed`` draws the random or partial head, the shots and the batches,
+    and in `run` it is also the benchmark seed of the data.
     """
 
     init: str = MODE_CNI
@@ -129,32 +130,27 @@ _data = functools.cache(make_benchmark)
 
 
 @functools.cache
-def run(spec: RunSpec, seed: int, teacher: RunSpec | None = None
+def run(spec: RunSpec, teacher: RunSpec | None = None
         ) -> tuple[ModelParams, MetricHistory]:
-    """`spec` trained on benchmark seed `seed`, once per process; `teacher`
-    is the spec of a DistillSpec's teacher, run on the same seed. Callers
-    share the result, so they must not modify it."""
-    teacher_params = None if teacher is None else run(teacher, seed)[0]
-    return fit(spec, *_data(seed), teacher_params)
+    """`spec` trained on benchmark seed ``spec.seed``, once per process;
+    `teacher` is the spec of a DistillSpec's teacher, itself a `run`.
+    Callers share the result, so they must not modify it."""
+    teacher_params = None if teacher is None else run(teacher)[0]
+    return fit(spec, *_data(spec.seed), teacher_params)
 
 
-# The studies' settings; the acceptance tests check the same arms.
+# The studies' settings; the acceptance tests check the same runs.
 STUDY_SHOTS = (1, 5)
-STUDY_ANCHOR = 0.1  # anchor_lambda of the anchored arm
+STUDY_ANCHOR = 0.1  # anchor_lambda of the anchored runs
 STUDY_FRACTION = 0.5  # text fraction of the partial head
 
 
-def arm(seed: int, cls: type[RunSpec] = RunSpec, **fields) -> RunSpec:
-    """A run on benchmark seed `seed`, which is also its run seed."""
-    return cls(seed=seed, **fields)
-
-
-def _top1(spec: RunSpec, seed: int, *teacher: RunSpec) -> float:
-    return run(spec, seed, *teacher)[1].final.test_top1
+def _top1(spec: RunSpec, *teacher: RunSpec) -> float:
+    return run(spec, *teacher)[1].final.test_top1
 
 
 def _top1s(seeds, **fields) -> list[float]:
-    return [_top1(arm(s, **fields), s) for s in seeds]
+    return [_top1(RunSpec(seed=s, **fields)) for s in seeds]
 
 
 def _inits(seeds) -> list[str]:
@@ -192,9 +188,9 @@ def _distill(seeds) -> list[str]:
     """A full-data ALL teacher, then plain and distilled one-shot students."""
     lines, rows = [], []
     for s in seeds:
-        teacher = arm(s, policy="ALL")
-        rows.append([_top1(teacher, s)] + [
-            _top1(arm(s, DistillSpec, shots=1, distill_weight=w), s, teacher)
+        teacher = RunSpec(seed=s, policy="ALL")
+        rows.append([_top1(teacher)] + [
+            _top1(DistillSpec(seed=s, shots=1, distill_weight=w), teacher)
             for w in (0.0, DISTILL_WEIGHT)])
         lines.append("seed {}: teacher {:.4f}  plain {:.4f}  distilled {:.4f}"
                      .format(s, *rows[-1]))

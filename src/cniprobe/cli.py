@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -224,23 +224,11 @@ def cmd_synth(args, spec: SynthSpec) -> tuple[dict, str]:
         "test_labels.cnit": test_ds.labels,
         "bank.cnit": bank.embeddings,
         "manifest.json": {
-            "format": "cniprobe-experiment",
             "train": {"tokens": "train_tokens.cnit", "labels": "train_labels.cnit"},
             "test": {"tokens": "test_tokens.cnit", "labels": "test_labels.cnit"},
-            "bank": {"embeddings": "bank.cnit",
-                     "prompt_templates": bank.prompt_templates,
-                     "class_names": bank.class_names},
-            "generator": asdict(spec),
+            "bank": {"embeddings": "bank.cnit"},
         },
     }, f"wrote synthetic dataset to {Path(args.out)}"
-
-
-def _strings(doc: dict, key: str, where: str) -> list[str]:
-    """The optional list ``doc[key]``, as strings."""
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: {key!r} must be a list")
-    return [str(s) for s in value]
 
 
 def _named(where: str | Path, cls, *args, **kwargs):
@@ -269,7 +257,8 @@ def load_experiment(manifest_path: str | Path):
     """Read an experiment manifest: train/test datasets plus the bank.
 
     Keys the reader does not use are ignored, so manifests that also
-    give each split's name, counts and class names still load.
+    give a format tag, the generator's settings, each split's name and
+    counts, or the bank's class names and prompt templates still load.
     """
     path = Path(manifest_path)
     doc = _read_json(path, ParseError)
@@ -281,11 +270,8 @@ def load_experiment(manifest_path: str | Path):
     bank_doc = doc["bank"]
     if not isinstance(bank_doc, dict) or "embeddings" not in bank_doc:
         raise ParseError(f"{path}: bank section needs an 'embeddings' path")
-    where = f"{path}: bank"
-    bank = _named(where, TextEmbeddingBank,
-                  embeddings=read_tensor(base / str(bank_doc["embeddings"])),
-                  prompt_templates=_strings(bank_doc, "prompt_templates", where),
-                  class_names=_strings(bank_doc, "class_names", where))
+    bank = _named(f"{path}: bank", TextEmbeddingBank,
+                  read_tensor(base / str(bank_doc["embeddings"])))
     train_ds, test_ds = (_read_split(doc[key], base, f"{path}: {key}",
                                      bank.num_classes)
                          for key in ("train", "test"))
@@ -322,7 +308,7 @@ def cmd_init_head(args, run: RunSpec) -> tuple[dict, str]:
 def cmd_sample_shots(args, spec: ShotSpec) -> tuple[dict, str]:
     train_ds, _, _ = load_experiment(args.manifest)
     indices = sample_k_shot(train_ds, spec)
-    return ({"shots.json": {"indices": indices, "k": spec.k, "seed": spec.seed}},
+    return ({"shots.json": {"indices": indices}},
             f"wrote {len(indices)} indices to {Path(args.out) / 'shots.json'}")
 
 
@@ -385,10 +371,7 @@ def cmd_sweep(args, _) -> tuple[dict, str]:
         acc = "" if r.final_top1 is None else repr(r.final_top1)
         lines.append(f"{r.label},{acc},{(r.error or '').replace(',', ';')}")
     text = "\n".join(lines)
-    summary = {"rows": [{"label": r.label, "final_top1": r.final_top1,
-                         "error": r.error} for r in rows],
-               "generated_at": _timestamp()}
-    return {"sweep.csv": text + "\n", "summary.json": summary}, text
+    return {"sweep.csv": text + "\n"}, text
 
 
 def cmd_study(args, _) -> tuple[dict, str]:

@@ -109,8 +109,8 @@ def sample_k_shot(ds: EmbeddingDataset, spec: ShotSpec) -> list[int]:
 class SynthSpec:
     """Synthetic generator settings; the defaults are the pinned benchmark's.
 
-    ``synth``'s flags, its config keys and the manifest's ``generator``
-    echo have exactly these fields.
+    ``synth``'s flags, its config keys and its ``config.json`` echo have
+    exactly these fields.
     """
 
     classes: int = 10
@@ -167,9 +167,5 @@ def make_synthetic(spec: SynthSpec
         spec.prompts * num_classes, dim, np.tile(prototypes, (spec.prompts, 1)),
         spec.txt_noise)
 
-    bank = TextEmbeddingBank(
-        embeddings=emb.reshape(spec.prompts, num_classes, dim),
-        prompt_templates=[f"synthetic prompt {n}" for n in range(spec.prompts)],
-        class_names=[f"class_{c:02d}" for c in range(num_classes)],
-    )
-    return train, test, bank
+    return train, test, TextEmbeddingBank(
+        emb.reshape(spec.prompts, num_classes, dim))

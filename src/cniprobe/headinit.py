@@ -10,7 +10,7 @@ by the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,10 @@ _NORM_EPS = 1e-12
 
 @dataclass
 class TextEmbeddingBank:
-    """N prompts x C classes x D text embeddings plus naming metadata."""
+    """N prompts x C classes x D text embeddings, one per prompt template
+    and class name: the only form in which the names reach the head."""
 
     embeddings: np.ndarray  # (N, C, D)
-    prompt_templates: list[str] = field(default_factory=list)
-    class_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         emb = np.asarray(self.embeddings, dtype=np.float64)
@@ -41,10 +40,6 @@ class TextEmbeddingBank:
             raise DataError(f"bank requires N>=1, C>=2, D>=1, got {emb.shape}")
         if not np.all(np.isfinite(emb)):
             raise DataError("bank embeddings contain NaN or Inf")
-        if self.prompt_templates and len(self.prompt_templates) != n:
-            raise DataError("prompt_templates must be empty or length N")
-        if self.class_names and len(self.class_names) != c:
-            raise DataError("class_names must be empty or length C")
         self.embeddings = emb
 
     @property

@@ -3,9 +3,10 @@
 Each test prints one ``criterion N: PASS/FAIL`` line (run pytest with
 ``-s`` to see the lines for passing tests too) and then asserts the
 stated property at the stated tolerance. Training runs go through
-``benchmark.run``, which caches them per process, so criteria share
-arms with each other and with ``benchmark.STUDIES``; everything is
-deterministic, so reruns reproduce the same numbers bit-for-bit.
+``benchmark.run``, which caches them per process by their spec, so
+criteria share runs with each other and with ``benchmark.STUDIES``;
+everything is deterministic, so reruns reproduce the same numbers
+bit-for-bit.
 
 Known state: criterion 5 checks the anchored-L2 penalty in both
 directions. Its one-shot half runs on the text-initialized (CNI) head,
@@ -34,7 +35,7 @@ from cniprobe.benchmark import (
     STUDY_ANCHOR,
     STUDY_FRACTION,
     DistillSpec,
-    arm,
+    RunSpec,
     fit,
     make_benchmark,
 )
@@ -55,7 +56,7 @@ from cniprobe.tensorio import read_tensor, write_tensor
 
 
 def run(seed, init, shots, **fields):
-    return benchmark.run(arm(seed, init=init, shots=shots, **fields), seed)
+    return benchmark.run(RunSpec(init=init, shots=shots, seed=seed, **fields))
 
 
 def acc(seed, init, shots, **fields):
@@ -64,9 +65,9 @@ def acc(seed, init, shots, **fields):
 
 def distill_pair(seed):
     """(plain 1-shot student, distilled 1-shot student) final accuracies."""
-    teacher = arm(seed, policy="ALL")
+    teacher = RunSpec(policy="ALL", seed=seed)
     return tuple(
-        benchmark.run(arm(seed, DistillSpec, shots=1, distill_weight=w), seed,
+        benchmark.run(DistillSpec(shots=1, distill_weight=w, seed=seed),
                       teacher)[1].final.test_top1
         for w in (0.0, DISTILL_WEIGHT))
 
@@ -83,7 +84,7 @@ def test_criterion_1_zero_shot_equivalence():
     ok = True
     accs = []
     for seed, (train_ds, test_ds, bank) in zip(BENCHMARK_SEEDS, data):
-        params0, hist = fit(arm(seed, epochs=0), train_ds, test_ds, bank)
+        params0, hist = fit(RunSpec(epochs=0, seed=seed), train_ds, test_ds, bank)
         zs = zero_shot(bank, test_ds)
         same_preds = np.array_equal(zero_shot_predictions(bank, test_ds),
                                     predictions(params0, test_ds))

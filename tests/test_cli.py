@@ -15,8 +15,8 @@ from cniprobe import cli, tensorio
 from cniprobe.benchmark import RunSpec, make_benchmark
 from cniprobe.cli import build_parser, load_experiment, main
 from cniprobe.dataset import EmbeddingDataset, SynthSpec
-from cniprobe.errors import (DataError, LabelOutOfRange, ParseError,
-                             ShapeMismatch, WriteError)
+from cniprobe.errors import (LabelOutOfRange, ParseError, ShapeMismatch,
+                             WriteError)
 from cniprobe.evaluate import predictions
 from cniprobe.model import forward_from, prefix
 from cniprobe.tensorio import read_tensor, write_json, write_tensor
@@ -120,7 +120,7 @@ def test_sample_shots_deterministic(data_dir, tmp_path):
     assert (a / "shots.json").read_bytes() == (b / "shots.json").read_bytes()
     doc = json.loads((a / "shots.json").read_text())
     assert len(doc["indices"]) == 6
-    assert set(doc) == {"indices", "k", "seed"}
+    assert set(doc) == {"indices"}
 
 
 def test_sample_shots_gives_the_indices_train_trains_on(data_dir, tmp_path,
@@ -324,8 +324,12 @@ def bench_experiment(tmp_path_factory):
 
 
 def test_synth_defaults_are_the_benchmark(bench_experiment):
+    config = json.loads((bench_experiment.parent / "config.json").read_text())
+    assert config == {"command": "synth", **asdict(SynthSpec(seed=3))}
+    # every key the manifest holds has a reader; config.json holds the rest
     doc = json.loads(bench_experiment.read_text())
-    assert doc["generator"] == asdict(SynthSpec(seed=3))
+    assert set(doc) == {"train", "test", "bank"}
+    assert doc["bank"] == {"embeddings": "bank.cnit"}
     train, test, bank = make_benchmark(3)
     base = bench_experiment.parent
     for name, arr in (("train_tokens", train.tokens),
@@ -709,6 +713,7 @@ def test_sweep_default_grid(data_dir, tmp_path, capsys):
     ]})
     assert main(["sweep", "--manifest", str(data_dir / "manifest.json"),
                  "--config", str(cfg), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["sweep.csv"]
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "label,final_top1,error"
     assert len(lines) == 5
@@ -963,13 +968,25 @@ def _tiny_experiment(root, m=4, t=2, d=3, num_classes=2):
     return doc, tokens, labels
 
 
-def test_old_manifest_layout_loads_the_same_arrays(data_dir):
+def _old_split_fields(doc):
     # the layout ``synth`` wrote before each split held only its two paths
-    doc = json.loads((data_dir / "manifest.json").read_text())
-    names = doc["bank"]["class_names"]
     for split in ("train", "test"):
-        doc[split].update(name=split, num_classes=3, dim=8,
-                          tokens_per_example=2, class_names=names)
+        doc[split].update(name=split, num_classes=3, dim=8, tokens_per_example=2,
+                          class_names=["class_00", "class_01", "class_02"])
+
+
+def _old_top_and_bank_fields(doc):
+    # the layout before the manifest held only what its reader reads
+    doc.update(format="cniprobe-experiment", generator={"classes": 3})
+    doc["bank"].update(prompt_templates=3, class_names=["x"])
+
+
+@pytest.mark.parametrize("add_old_keys", [_old_split_fields,
+                                          _old_top_and_bank_fields],
+                         ids=["split_fields", "format_generator_bank_names"])
+def test_old_manifest_layout_loads_the_same_arrays(data_dir, add_old_keys):
+    doc = json.loads((data_dir / "manifest.json").read_text())
+    add_old_keys(doc)
     write_json(data_dir / "old.json", doc)
     new = load_experiment(data_dir / "manifest.json")
     old = load_experiment(data_dir / "old.json")
@@ -978,7 +995,6 @@ def test_old_manifest_layout_loads_the_same_arrays(data_dir):
         np.testing.assert_array_equal(a.labels, b.labels)
         assert a.num_classes == b.num_classes == 3
     np.testing.assert_array_equal(new[2].embeddings, old[2].embeddings)
-    assert new[2].class_names == old[2].class_names == names
 
 
 def test_load_experiment_roundtrip_is_bit_exact(tmp_path):
@@ -1009,14 +1025,10 @@ def _labels(values):
                  id="fractional_labels"),
     pytest.param(_labels([0.0, 1.0, 2.0, 0.0]), LabelOutOfRange,
                  id="out_of_range_labels"),
-    pytest.param(lambda doc, root: doc["bank"].update(prompt_templates=3),
-                 ParseError, id="bank_names_not_list"),
     pytest.param(lambda doc, root: doc.pop("test"), ParseError,
                  id="missing_test"),
     pytest.param(lambda doc, root: doc["bank"].pop("embeddings"), ParseError,
                  id="bank_without_embeddings"),
-    pytest.param(lambda doc, root: doc["bank"].update(class_names=["x"]),
-                 DataError, id="bank_class_names_length"),
     pytest.param(lambda doc, root: write_tensor(root / "bank.cnit",
                                                 np.eye(2, 4)[None]),
                  ParseError, id="bank_dim"),

@@ -26,8 +26,6 @@ from cniprobe.errors import (
     InsufficientExamples,
     LabelOutOfRange,
 )
-from cniprobe.cli import load_experiment
-from cniprobe.tensorio import write_json, write_tensor
 
 
 def _flat_ds(labels, num_classes):
@@ -125,24 +123,6 @@ def test_subset_copies_rows():
     assert ds.tokens[2, 0, 0] == 1.0  # parent untouched
 
 
-def test_load_embedding_dataset_roundtrip(tmp_path):
-    train, _, bank = make_synthetic(SynthSpec(
-        classes=2, dim=4, tokens=2, train_per_class=3, test_per_class=1,
-        prompts=1, img_noise=0.2, txt_noise=0.1, seed=9))
-    write_tensor(tmp_path / "tok.cnit", train.tokens)
-    write_tensor(tmp_path / "lab.cnit", train.labels)
-    write_tensor(tmp_path / "bank.cnit", bank.embeddings)
-    split = {"name": "rt", "tokens": "tok.cnit", "labels": "lab.cnit",
-             "num_classes": 2, "dim": 4, "tokens_per_example": 2}
-    write_json(tmp_path / "manifest.json", {
-        "train": split, "test": split, "bank": {"embeddings": "bank.cnit"},
-    })
-    back, _, _ = load_experiment(tmp_path / "manifest.json")
-    assert back.labels.tolist() == train.labels.tolist()
-    np.testing.assert_array_equal(
-        back.tokens, train.tokens.astype(np.float32).astype(np.float64))
-
-
 # --- synthetic generator -----------------------------------------------------
 
 def test_synthetic_shapes_layout_and_unit_norms():
@@ -158,8 +138,6 @@ def test_synthetic_shapes_layout_and_unit_norms():
         np.linalg.norm(train.tokens, axis=2), 1.0, atol=1e-12)
     np.testing.assert_allclose(
         np.linalg.norm(bank.embeddings, axis=2), 1.0, atol=1e-12)
-    assert bank.class_names == [f"class_{c:02d}" for c in range(4)]
-    assert len(bank.prompt_templates) == 6
 
 
 def test_synthetic_deterministic():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cniprobe import benchmark
-from cniprobe.benchmark import DistillSpec, arm
+from cniprobe.benchmark import DistillSpec, RunSpec
 from cniprobe.dataset import SynthSpec, make_synthetic
 from cniprobe.distill import distill_train, teacher_predict
 from cniprobe.errors import ConfigError, ShapeMismatch
@@ -138,11 +138,10 @@ def test_teacher_is_needed_only_for_a_positive_weight(setup):
 
 
 def test_zero_weight_student_spec_runs_without_a_teacher():
-    s = 1
-    student = benchmark.run(arm(s, DistillSpec, shots=1, distill_weight=0.0), s)
-    plain = benchmark.run(arm(s, policy="ALL", shots=1), s)
+    student = benchmark.run(DistillSpec(shots=1, distill_weight=0.0, seed=1))
+    plain = benchmark.run(RunSpec(policy="ALL", shots=1, seed=1))
     for name in TRAINABLE[POLICY_ALL]:
         assert student[0].group(name).tobytes() == plain[0].group(name).tobytes()
     assert student[1].to_csv() == plain[1].to_csv()
     with pytest.raises(ConfigError):
-        benchmark.run(arm(s, DistillSpec, shots=1), s)
+        benchmark.run(DistillSpec(shots=1, seed=1))

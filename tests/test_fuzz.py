@@ -89,7 +89,7 @@ def _eval_codes(base: Path, edit, *sources: str | None) -> set[int]:
 @FUZZ
 @given(section=st.sampled_from(("train", "test", "bank")),
        key=st.sampled_from(("tokens", "labels", "embeddings", "class_names",
-                            "prompt_templates", "name", None)),  # name: unread
+                            "prompt_templates", "name", None)),  # the last 3 are unread
        value=JSON, drop=st.booleans())
 @example(section="train", key="tokens", value="\x00", drop=False)
 def test_fuzzed_manifest_field(base, section, key, value, drop):

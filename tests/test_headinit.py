@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cniprobe.errors import ConfigError, ShapeMismatch, ZeroNormRow
+from cniprobe.errors import ConfigError, DataError, ShapeMismatch, ZeroNormRow
 from cniprobe.headinit import (
     Head,
     HeadInitSpec,
@@ -18,8 +18,8 @@ from cniprobe.headinit import (
 from cniprobe.model import init_params
 
 
-def _bank(arr, **kw):
-    return TextEmbeddingBank(embeddings=np.asarray(arr, dtype=np.float64), **kw)
+def _bank(arr):
+    return TextEmbeddingBank(embeddings=np.asarray(arr, dtype=np.float64))
 
 
 def loop_average(emb):
@@ -174,9 +174,7 @@ def test_cni_requires_average():
 def test_bank_validation():
     with pytest.raises(ShapeMismatch):
         _bank(np.zeros((2, 3)))
-    with pytest.raises(Exception):
+    with pytest.raises(DataError):
         _bank(np.zeros((2, 1, 3)))  # C must be >= 2
-    with pytest.raises(Exception):
+    with pytest.raises(DataError):
         _bank(np.full((2, 3, 2), np.nan))
-    with pytest.raises(Exception):
-        _bank(np.ones((2, 3, 2)), prompt_templates=["only one"])

@@ -203,13 +203,12 @@ def test_cosine_schedule_shape():
             assert cosine_lr(step, total, base) == old
 
 
-def test_cosine_schedule_monotone_after_warmup():
-    # there is no warmup: the schedule falls from its first step
+def test_cosine_schedule_never_rises():
     values = [cosine_lr(s, 50, 2.0) for s in range(51)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
-def test_cosine_schedule_no_warmup():
+def test_cosine_schedule_runs_from_base_lr_to_zero():
     assert cosine_lr(0, 10, 1.0) == 1.0
     assert abs(cosine_lr(10, 10, 1.0)) < 1e-12
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cniprobe.cli import load_experiment
 from cniprobe.errors import (
     BadMagic,
     BadVersion,
@@ -169,21 +168,3 @@ def test_unwritable_path_is_write_error(tmp_path):
     with pytest.raises(WriteError):
         write_json(blocker / "x.json", {})
     assert blocker.read_bytes() == b"keep"
-
-
-def test_manifest_roundtrip(tmp_path):
-    tokens = np.arange(4 * 2 * 3, dtype=np.float32).reshape(4, 2, 3)
-    write_tensor(tmp_path / "tok.cnit", tokens)
-    write_tensor(tmp_path / "lab.cnit", np.array([0, 1, 0, 1], np.float32))
-    write_tensor(tmp_path / "bank.cnit", np.eye(2, 3)[None])
-    split = {"name": "toy", "tokens": "tok.cnit", "labels": "lab.cnit",
-             "num_classes": 2, "dim": 3, "tokens_per_example": 2,
-             "class_names": ["a", "b"]}
-    write_json(tmp_path / "manifest.json", {
-        "train": split, "test": split,
-        "bank": {"embeddings": "bank.cnit", "class_names": ["a", "b"]},
-    })
-    train, test, bank = load_experiment(tmp_path / "manifest.json")
-    assert train.num_examples == test.num_examples == 4
-    assert bank.class_names == ["a", "b"]
-    np.testing.assert_array_equal(train.tokens, tokens)
