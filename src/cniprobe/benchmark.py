@@ -26,7 +26,7 @@ from .distill import distill_train
 from .evaluate import zero_shot
 from .headinit import (MODE_CNI, MODE_PARTIAL, MODE_RANDOM, HeadInitSpec,
                        TextEmbeddingBank, average_text_embeddings, init_head)
-from .model import LossConfig, ModelParams, init_params
+from .model import POLICY_ALL, LossConfig, ModelParams, init_params
 from .train import MetricHistory, TrainConfig, train
 
 BENCHMARK_SEEDS = (1, 2, 3, 4, 5)
@@ -94,6 +94,7 @@ class DistillSpec(RunSpec):
     """A student run: a RunSpec plus the KL term's settings. ``fit`` trains
     it with ``distill_train``, which always fine-tunes all groups."""
 
+    policy: str = POLICY_ALL
     distill_weight: float = DISTILL_WEIGHT
     temperature: float = DISTILL_TEMPERATURE
 
@@ -118,9 +119,9 @@ def fit(spec: RunSpec, train_ds: EmbeddingDataset, test_ds: EmbeddingDataset,
     """Train from the spec's start model, ``init_params`` of its head built
     from `bank`; a DistillSpec is a ``distill_train`` student of
     `teacher`, with the training split as its unlabeled pool."""
-    head = init_head(spec.head_spec(), average_text_embeddings(bank),
-                     bank.num_classes, bank.dim)
-    params0, cfg = init_params(head), spec.train_config()
+    W = init_head(spec.head_spec(), average_text_embeddings(bank),
+                  bank.num_classes, bank.dim)
+    params0, cfg = init_params(W), spec.train_config()
     if not isinstance(spec, DistillSpec):
         return train(params0, train_ds, test_ds, cfg)
     return distill_train(teacher, params0, train_ds, train_ds, test_ds, cfg)

@@ -15,9 +15,8 @@ which reads its inputs and computes its files and message, write the
 files (``_save``) and print the message.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
-4 numerical error. Outputs are deterministic given flags and seeds;
-the only timestamps live in summary metadata files, never in
-metrics.csv or tensor files.
+4 numerical error. Every file a command writes depends only on its
+flags and inputs, so a rerun writes the same bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -42,6 +40,7 @@ from .errors import (
     DataError,
     NumericalError,
     ParseError,
+    ShapeMismatch,
     WriteError,
 )
 from .evaluate import top1, zero_shot
@@ -72,10 +71,6 @@ def _names(cls, skip=()) -> tuple[str, ...]:
 
 
 _RUN_FIELDS = _names(RunSpec)
-
-
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _check_out(out: Path) -> None:
@@ -287,11 +282,15 @@ def _model_files(params: ModelParams) -> dict:
     return {f"params_{n}.cnit": params.group(n) for n in TRAINABLE[POLICY_ALL]}
 
 
-def _read_params(path: str | Path) -> ModelParams:
-    """The model that ``init-head``, ``train`` or ``distill`` saved in `path`."""
+def _read_params(path: str | Path, bank: TextEmbeddingBank) -> ModelParams:
+    """The ``params_*.cnit`` model in `path`; it must fit `bank`'s experiment."""
     d = Path(path)
-    return _named(d, ModelParams, *(read_tensor(d / f"params_{n}.cnit")
-                                    for n in TRAINABLE[POLICY_ALL]))
+    params = _named(d, ModelParams, *(read_tensor(d / f"params_{n}.cnit")
+                                      for n in TRAINABLE[POLICY_ALL]))
+    if params.W.shape != (bank.num_classes, bank.dim):
+        raise ShapeMismatch(f"{d}: model (C, D) = {params.W.shape} does not fit "
+                            f"the experiment's ({bank.num_classes}, {bank.dim})")
+    return params
 
 
 # --- subcommands: (args, spec) -> (files to save, message to print) ----------
@@ -299,9 +298,8 @@ def _read_params(path: str | Path) -> ModelParams:
 def cmd_init_head(args, run: RunSpec) -> tuple[dict, str]:
     spec = run.head_spec()
     _, _, bank = load_experiment(args.manifest)
-    head = init_head(spec, average_text_embeddings(bank), bank.num_classes, bank.dim)
-    return ({**_model_files(init_params(head)),
-             "head.json": {"provenance": head.init_provenance}},
+    W = init_head(spec, average_text_embeddings(bank), bank.num_classes, bank.dim)
+    return (_model_files(init_params(W)),
             f"wrote head ({spec.mode}) to {Path(args.out)}")
 
 
@@ -314,13 +312,11 @@ def cmd_sample_shots(args, spec: ShotSpec) -> tuple[dict, str]:
 
 def cmd_train(args, spec: RunSpec) -> tuple[dict, str]:
     """``train`` and ``distill``: ``fit`` the spec."""
-    teacher = _read_params(args.teacher) if "teacher" in args.paths else None
     train_ds, test_ds, bank = load_experiment(args.manifest)
+    teacher = _read_params(args.teacher, bank) if "teacher" in args.paths else None
     params, history = fit(spec, train_ds, test_ds, bank, teacher)
     return ({**_model_files(params), "metrics.csv": history.to_csv(),
-             "summary.json": {"final_top1": history.final.test_top1,
-                              "final_epoch": history.final.epoch,
-                              "generated_at": _timestamp()}},
+             "summary.json": {"final_top1": history.final.test_top1}},
             f"final_top1={history.final.test_top1!r}")
 
 
@@ -328,9 +324,8 @@ def cmd_eval(args, spec: EvalSpec) -> tuple[dict, str]:
     train_ds, test_ds, bank = load_experiment(args.manifest)
     ds = test_ds if spec.split == "test" else train_ds
     report = (zero_shot(bank, ds) if spec.zero_shot
-              else top1(_read_params(spec.params), ds))
-    return ({"eval.json": {"generated_at": _timestamp(),
-                           "report": report.to_json_dict()}},
+              else top1(_read_params(spec.params, bank), ds))
+    return ({"eval.json": {"report": report.to_json_dict()}},
             f"top1={report.top1!r}")
 
 

@@ -1,11 +1,11 @@
 """Classification-head initialization from prompt-ensembled text embeddings.
 
-The head weight can be built three ways: from the normalized prompt
-average of every class name (``cni``), from random unit rows
-(``random``), or from a seeded mix of the two (``partial``). The bias
-always starts at zero. Digit or foreign-language variants are not
-special modes here; they are simply different embedding banks supplied
-by the caller.
+The head is its (C, D) weight matrix, built three ways: from the
+normalized prompt average of every class name (``cni``), from random
+unit rows (``random``), or from a seeded mix of the two (``partial``).
+``model.init_params`` starts the bias at zero. Digit or
+foreign-language variants are not special modes here; they are simply
+different embedding banks supplied by the caller.
 """
 
 from __future__ import annotations
@@ -72,15 +72,6 @@ class HeadInitSpec:
                               f"not {self.mode!r}")
 
 
-@dataclass
-class Head:
-    """Linear head: unit-norm weight rows and per-row provenance; its
-    bias is the zero vector that ``model.init_params`` starts ``b`` at."""
-
-    W: np.ndarray  # (C, D)
-    init_provenance: list[str]  # per row: "text" or "random"
-
-
 def average_text_embeddings(bank: TextEmbeddingBank) -> np.ndarray:
     """Mean over the prompt axis, then L2-normalize each class row.
 
@@ -99,8 +90,8 @@ def init_head(
     avg: np.ndarray | None,
     num_classes: int,
     dim: int,
-) -> Head:
-    """Build the head weight per ``spec``.
+) -> np.ndarray:
+    """The (C, D) head weight per ``spec``.
 
     ``avg`` is the (C, D) output of average_text_embeddings; required for
     cni and partial modes. Random rows are drawn i.i.d. standard normal
@@ -108,7 +99,8 @@ def init_head(
     Partial mode Fisher-Yates-shuffles the class indices with the seeded
     stream, keeps the first floor(fraction*C) of them as text rows, then
     draws the remaining rows from the same stream in ascending class
-    order.
+    order. Which rows are text is not recorded: they are the rows equal
+    to ``avg``'s, and the spec rebuilds the head.
     """
     if spec.mode in (MODE_CNI, MODE_PARTIAL):
         if avg is None:
@@ -120,20 +112,15 @@ def init_head(
             )
 
     if spec.mode == MODE_CNI:
-        return Head(W=avg.copy(), init_provenance=["text"] * num_classes)
+        return avg.copy()
 
     stream = Stream(spec.seed)
     if spec.mode == MODE_RANDOM:
-        W = stream.unit_rows(num_classes, dim)
-        return Head(W=W, init_provenance=["random"] * num_classes)
+        return stream.unit_rows(num_classes, dim)
 
     # partial: seeded shuffle picks which classes keep their text rows
     order = stream.permutation(num_classes)
-    n_text = int(np.floor(spec.fraction * num_classes))
-    text_rows = set(order[:n_text])
-    provenance = ["text" if c in text_rows else "random"
-                  for c in range(num_classes)]
-    random_rows = [c for c in range(num_classes) if c not in text_rows]
+    random_rows = sorted(order[int(np.floor(spec.fraction * num_classes)):])
     W = avg.copy()
     W[random_rows] = stream.unit_rows(len(random_rows), dim)
-    return Head(W=W, init_provenance=provenance)
+    return W

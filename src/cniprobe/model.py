@@ -36,7 +36,6 @@ from .errors import (
     ShapeMismatch,
     ZeroNormPooled,
 )
-from .headinit import Head
 
 POLICY_L = "L"
 POLICY_PL = "PL"
@@ -95,19 +94,19 @@ class ModelParams:
         return getattr(self, name)
 
 
-def init_params(head: Head) -> ModelParams:
-    """Identity adapter, zero ``a``, ``q`` and ``b``, and the head's W.
+def init_params(W: np.ndarray) -> ModelParams:
+    """Identity adapter, zero ``a``, ``q`` and ``b``, and the (C, D) head
+    weight `W`, as ``headinit.init_head`` builds it.
 
     All freezing policies therefore start from the same zero-shot
     function: uniform attention over tokens and cosine scoring against
     the head rows.
     """
-    if np.ndim(head.W) != 2:
-        raise ShapeMismatch(f"head weight of shape {np.shape(head.W)} "
-                            "is not (C, D)")
-    c, dim = head.W.shape
+    if np.ndim(W) != 2:
+        raise ShapeMismatch(f"head weight of shape {np.shape(W)} is not (C, D)")
+    c, dim = np.shape(W)
     return ModelParams(A=np.eye(dim), a=np.zeros(dim), q=np.zeros(dim),
-                       W=head.W, b=np.zeros(c))
+                       W=W, b=np.zeros(c))
 
 
 @dataclass

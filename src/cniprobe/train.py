@@ -39,17 +39,18 @@ _UNLABELED_STREAM = 1  # unlabeled batch order during distillation
 
 @dataclass
 class TrainConfig:
-    """Run settings, each checked here; ``shots`` per class are sampled at
+    """Run settings, each checked here and none defaulted here (a
+    ``RunSpec`` holds the defaults); ``shots`` per class are sampled at
     ``seed``, and ``shots=None`` trains on the whole split."""
 
-    epochs: int = 200
-    batch_size: int = 32
-    base_lr: float = 1e-5
-    loss: LossConfig = field(default_factory=LossConfig)
-    policy: str = "PL"
-    seed: int = 0
-    eval_every: int = 10
-    shots: int | None = None
+    epochs: int
+    batch_size: int
+    base_lr: float
+    loss: LossConfig
+    policy: str
+    seed: int
+    eval_every: int
+    shots: int | None
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -206,10 +207,9 @@ class SweepRow:
 def _sweep_one(bank: TextEmbeddingBank, train_ds: EmbeddingDataset,
                test_ds: EmbeddingDataset, entry: SweepEntry) -> SweepRow:
     try:
-        avg = average_text_embeddings(bank)
-        head = init_head(entry.init, avg, bank.num_classes, bank.dim)
-        params0 = init_params(head)
-        _, history = train(params0, train_ds, test_ds, entry.cfg)
+        W = init_head(entry.init, average_text_embeddings(bank),
+                      bank.num_classes, bank.dim)
+        _, history = train(init_params(W), train_ds, test_ds, entry.cfg)
         return SweepRow(label=entry.label, final_top1=history.final.test_top1)
     except CniProbeError as exc:
         return SweepRow(label=entry.label, final_top1=None,

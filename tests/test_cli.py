@@ -18,6 +18,7 @@ from cniprobe.dataset import EmbeddingDataset, SynthSpec
 from cniprobe.errors import (LabelOutOfRange, ParseError, ShapeMismatch,
                              WriteError)
 from cniprobe.evaluate import predictions
+from cniprobe.headinit import average_text_embeddings
 from cniprobe.model import forward_from, prefix
 from cniprobe.tensorio import read_tensor, write_json, write_tensor
 
@@ -38,7 +39,9 @@ def data_dir(tmp_path):
 
 
 def _tree_bytes(root):
-    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+    """Every file under `root`, by its path relative to `root`."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def test_synth_reruns_are_byte_identical(tmp_path):
@@ -79,14 +82,17 @@ def test_init_head_artifacts(data_dir, tmp_path):
     for name, size in (("a", 8), ("q", 8), ("b", 3)):
         np.testing.assert_array_equal(read_tensor(out / f"params_{name}.cnit"),
                                       np.zeros(size))
-    doc = json.loads((out / "head.json").read_text())
-    assert set(doc) == {"provenance"}  # the settings are in config.json
+    assert {p.name for p in out.iterdir()} == {
+        *(f"params_{g}.cnit" for g in ("A", "a", "q", "W", "b")), "config.json"}
     assert json.loads((out / "config.json").read_text())["init"] == "partial"
-    assert doc["provenance"].count("text") == 1  # floor(0.5 * 3)
-    assert len(doc["provenance"]) == 3
+    # the text rows are the rows equal to the stored averaged bank rows
+    _, _, bank = load_experiment(data_dir / "manifest.json")
+    avg = average_text_embeddings(bank).astype(np.float32)
+    text_rows = [c for c in range(3) if np.array_equal(W[c], avg[c])]
+    assert len(text_rows) == 1  # floor(0.5 * 3)
 
 
-def test_eval_zero_shot_matches_cni_head_modulo_timestamp(data_dir, tmp_path):
+def test_eval_zero_shot_matches_cni_head_byte_for_byte(data_dir, tmp_path):
     manifest = str(data_dir / "manifest.json")
     head = tmp_path / "head"
     assert main(["init-head", "--manifest", manifest, "--init", "cni",
@@ -96,10 +102,8 @@ def test_eval_zero_shot_matches_cni_head_modulo_timestamp(data_dir, tmp_path):
                  "--out", str(zs)]) == 0
     assert main(["eval", "--manifest", manifest, "--params", str(head),
                  "--out", str(cni)]) == 0
-    a = json.loads((zs / "eval.json").read_text())
-    b = json.loads((cni / "eval.json").read_text())
-    assert a["report"] == b["report"]
-    assert set(a) == {"generated_at", "report"}
+    assert (zs / "eval.json").read_bytes() == (cni / "eval.json").read_bytes()
+    assert set(json.loads((zs / "eval.json").read_text())) == {"report"}
 
 
 def test_eval_requires_exactly_one_mode(data_dir, tmp_path):
@@ -165,17 +169,42 @@ def test_train_outputs_and_metric_determinism(data_dir, tmp_path, capsys):
     assert len(lines) == 2
     acc = float(lines[0].split("=", 1)[1])
     assert 0.0 <= acc <= 1.0
-    assert (outs[0] / "metrics.csv").read_bytes() == \
-        (outs[1] / "metrics.csv").read_bytes()
-    for name in ("summary.json", "config.json"):
-        assert (outs[0] / name).exists()
-    # metrics.csv holds the history; init-head rebuilds the start model
-    for name in ("model.json", "metrics.json", "head.json", "head_W.cnit"):
-        assert not (outs[0] / name).exists()
-    for g in ("A", "a", "q", "W", "b"):
-        assert (outs[0] / f"params_{g}.cnit").exists()
+    # every file, the JSON ones included, is the same on a rerun; the
+    # history is in metrics.csv, and init-head rebuilds the start model
+    assert _tree_bytes(outs[0]) == _tree_bytes(outs[1])
+    assert set(_tree_bytes(outs[0])) == {
+        *(f"params_{g}.cnit" for g in ("A", "a", "q", "W", "b")),
+        "metrics.csv", "summary.json", "config.json"}
     summary = json.loads((outs[0] / "summary.json").read_text())
-    assert summary["final_top1"] == acc
+    assert summary == {"final_top1": acc}
+
+
+def test_cli_chain_reruns_are_byte_identical(tmp_path):
+    # every file of every command, JSON included, depends only on the
+    # flags and inputs: the chain rerun at the same paths gives the same tree
+    root, cfg = tmp_path / "chain", tmp_path / "sweep.json"
+    write_json(cfg, {"entries": [{"label": "x", "shots": 1, "epochs": 2}]})
+    chain = [
+        ["init-head", "--init", "partial", "--fraction", "0.5", "--seed", "3",
+         "--out", str(root / "head")],
+        ["sample-shots", "--k", "1", "--seed", "3", "--out", str(root / "shots")],
+        ["train", "--policy", "ALL", "--out", str(root / "teacher")] + FAST_TRAIN,
+        ["distill", "--teacher", str(root / "teacher"), "--shots", "1",
+         "--out", str(root / "student")] + FAST_TRAIN,
+        ["eval", "--zero-shot", "--out", str(root / "zero_shot")],
+        ["eval", "--params", str(root / "student"), "--out", str(root / "eval")],
+        ["sweep", "--config", str(cfg), "--out", str(root / "sweep")],
+    ]
+    trees = []
+    for _ in range(2):
+        shutil.rmtree(root, ignore_errors=True)
+        assert main(["synth", "--out", str(root / "data")] + SMALL_SYNTH) == 0
+        for argv in chain:
+            assert main(argv + ["--manifest",
+                                str(root / "data" / "manifest.json")]) == 0
+        trees.append(_tree_bytes(root))
+    assert len(trees[0]) == 36  # 7 data, 6 head, 2 shots, 2 x 8 runs, 2 x 2 evals, 1 sweep
+    assert trees[0] == trees[1]
 
 
 def test_metrics_csv_has_pinned_columns(data_dir, tmp_path):
@@ -271,7 +300,8 @@ def test_stale_model_json_is_ignored(data_dir, tmp_path):
     reports = []
     for i, stale in enumerate((None, '{"logit_scale": -1}', "{not json")):
         if stale is not None:  # what an older version wrote beside params
-            (run / "model.json").write_text(stale)
+            for name in ("model.json", "head.json"):
+                (run / name).write_text(stale)
         assert main(["eval", "--manifest", manifest, "--params", str(run),
                      "--out", str(tmp_path / f"ev{i}")]) == 0
         reports.append(json.loads((tmp_path / f"ev{i}" / "eval.json")
@@ -291,12 +321,21 @@ def test_eval_accepts_trained_params(data_dir, tmp_path):
     assert 0.0 <= doc["report"]["top1"] <= 1.0
 
 
-@pytest.mark.parametrize("case", ["split", "bank", "eval_params", "teacher"])
+@pytest.mark.parametrize("case", ["split", "bank", "eval_params", "teacher",
+                                  "eval_classes", "eval_dim", "teacher_classes"])
 def test_data_errors_name_their_source(data_dir, tmp_path, capsys, case):
-    # faults only EmbeddingDataset, TextEmbeddingBank or ModelParams see:
-    # the error line starts with the split, the bank or the params directory
+    # faults only EmbeddingDataset, TextEmbeddingBank or ModelParams see,
+    # and a saved model that does not fit the experiment: the error line
+    # starts with the split, the bank or the params directory
     manifest, run = data_dir / "manifest.json", tmp_path / "run"
-    assert main(["init-head", "--manifest", str(manifest), "--out", str(run)]) == 0
+    other = {"eval_classes": ["--classes", "4"], "eval_dim": ["--dim", "6"],
+             "teacher_classes": ["--classes", "4"]}.get(case)
+    if other:  # the model comes from a C = 4 or D = 6 experiment
+        assert main(["synth", "--out", str(tmp_path / "other")]
+                    + SMALL_SYNTH + other) == 0
+    head_manifest = tmp_path / "other" / "manifest.json" if other else manifest
+    assert main(["init-head", "--manifest", str(head_manifest),
+                 "--out", str(run)]) == 0
     labels = read_tensor(data_dir / "train_labels.cnit")
     labels[1] = 0.5
     path, tensor, argv, source = {
@@ -308,11 +347,20 @@ def test_data_errors_name_their_source(data_dir, tmp_path, capsys, case):
                         ["eval", "--params", str(run)], str(run)),
         "teacher": (run / "params_W.cnit", np.ones((3, 5)),
                     ["distill", "--teacher", str(run)], str(run)),
+        "eval_classes": (None, None, ["eval", "--params", str(run)], str(run)),
+        "eval_dim": (None, None, ["eval", "--params", str(run)], str(run)),
+        "teacher_classes": (None, None, ["distill", "--teacher", str(run)],
+                            str(run)),
     }[case]
-    write_tensor(path, tensor)
+    if path is not None:
+        write_tensor(path, tensor)
     assert main(argv + ["--manifest", str(manifest),
                         "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith(f"error: {source}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source}: ")
+    if other:  # both (C, D) pairs are named
+        model = (4, 8) if case.endswith("classes") else (3, 6)
+        assert f"{model}" in err and "(3, 8)" in err
 
 
 @pytest.fixture(scope="module")
@@ -362,10 +410,10 @@ def test_saved_run_reproduces_in_memory_predictions(bench_experiment, tmp_path,
                  "--out", str(ev)]) == 0
 
     params, _ = trained[0]
-    _, test_ds, _ = load_experiment(bench_experiment)
+    _, test_ds, bank = load_experiment(bench_experiment)
     rows = prefix(params, test_ds.tokens, policy)
     in_memory = np.argmax(forward_from(params, rows, policy).logits, axis=1)
-    saved = predictions(cli._read_params(run), test_ds)
+    saved = predictions(cli._read_params(run, bank), test_ds)
     np.testing.assert_array_equal(saved, in_memory)
     confusion = np.zeros((test_ds.num_classes,) * 2, dtype=np.int64)
     np.add.at(confusion, (test_ds.labels, in_memory), 1)

@@ -14,7 +14,8 @@ from cniprobe.train import TrainConfig, train
 
 
 def _cfg(**kw):
-    base = dict(epochs=6, batch_size=4, base_lr=1e-3, eval_every=3, seed=0)
+    base = dict(epochs=6, batch_size=4, base_lr=1e-3, loss=LossConfig(),
+                policy="PL", seed=0, eval_every=3, shots=None)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -135,6 +136,14 @@ def test_teacher_is_needed_only_for_a_positive_weight(setup):
     with pytest.raises(ConfigError):
         distill_train(None, student0.copy(), train_ds, train_ds, test_ds,
                       _cfg(loss=LossConfig(distill_weight=1.0)))
+
+
+def test_student_spec_states_the_policy_it_trains():
+    # a student always trains ALL, so its spec says so, and benchmark.run
+    # keys a student spelled with policy="ALL" as the same run
+    spec = DistillSpec(seed=1, shots=1)
+    assert spec.policy == spec.train_config().policy == POLICY_ALL
+    assert spec == DistillSpec(seed=1, shots=1, policy=POLICY_ALL)
 
 
 def test_zero_weight_student_spec_runs_without_a_teacher():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cniprobe.errors import ConfigError, DataError, ShapeMismatch, ZeroNormRow
 from cniprobe.headinit import (
-    Head,
     HeadInitSpec,
     MODE_CNI,
     MODE_PARTIAL,
@@ -95,62 +94,64 @@ def _avg(c=4, d=6, seed=0):
     return average_text_embeddings(_bank(emb))
 
 
+def _text_rows(W, avg):
+    """The classes whose head row is bit-equal to their averaged text row."""
+    return [c for c in range(len(W)) if W[c].tobytes() == avg[c].tobytes()]
+
+
 def test_cni_copies_rows_exactly():
     avg = _avg()
-    head = init_head(HeadInitSpec(mode=MODE_CNI), avg, 4, 6)
-    np.testing.assert_array_equal(head.W, avg)
-    assert head.W is not avg  # defensive copy
-    np.testing.assert_array_equal(init_params(head).b, np.zeros(4))
-    assert head.init_provenance == ["text"] * 4
+    W = init_head(HeadInitSpec(mode=MODE_CNI), avg, 4, 6)
+    np.testing.assert_array_equal(W, avg)
+    assert W is not avg  # defensive copy
+    np.testing.assert_array_equal(init_params(W).b, np.zeros(4))
 
 
 def test_random_rows_unit_norm_and_seeded():
     a = init_head(HeadInitSpec(mode=MODE_RANDOM, seed=4), None, 5, 8)
     b = init_head(HeadInitSpec(mode=MODE_RANDOM, seed=4), None, 5, 8)
     c = init_head(HeadInitSpec(mode=MODE_RANDOM, seed=5), None, 5, 8)
-    np.testing.assert_array_equal(a.W, b.W)
-    assert a.W.tobytes() != c.W.tobytes()
-    np.testing.assert_allclose(np.linalg.norm(a.W, axis=1), 1.0, atol=1e-12)
-    assert a.init_provenance == ["random"] * 5
+    np.testing.assert_array_equal(a, b)
+    assert a.tobytes() != c.tobytes()
+    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
 
 
 def test_partial_row_counts_follow_floor():
     avg = _avg(c=10, d=6)
     for fraction, expected in [(0.0, 0), (0.19, 1), (0.5, 5), (0.99, 9), (1.0, 10)]:
-        head = init_head(HeadInitSpec(mode=MODE_PARTIAL, fraction=fraction, seed=1),
-                         avg, 10, 6)
-        assert head.init_provenance.count("text") == expected
+        W = init_head(HeadInitSpec(mode=MODE_PARTIAL, fraction=fraction, seed=1),
+                      avg, 10, 6)
+        assert len(_text_rows(W, avg)) == expected
 
 
 def test_partial_boundaries_match_pure_modes():
     avg = _avg(c=6, d=5, seed=2)
     all_text = init_head(HeadInitSpec(mode=MODE_PARTIAL, fraction=1.0, seed=3),
                          avg, 6, 5)
-    np.testing.assert_array_equal(all_text.W, avg)
+    np.testing.assert_array_equal(all_text, avg)
     none_text = init_head(HeadInitSpec(mode=MODE_PARTIAL, fraction=0.0, seed=3),
                           avg, 6, 5)
-    assert none_text.init_provenance == ["random"] * 6
-    np.testing.assert_allclose(np.linalg.norm(none_text.W, axis=1), 1.0,
+    assert _text_rows(none_text, avg) == []
+    np.testing.assert_allclose(np.linalg.norm(none_text, axis=1), 1.0,
                                atol=1e-12)
 
 
 def test_partial_text_rows_copy_average():
     avg = _avg(c=8, d=4, seed=5)
-    head = init_head(HeadInitSpec(mode=MODE_PARTIAL, fraction=0.5, seed=7),
-                     avg, 8, 4)
-    for c, tag in enumerate(head.init_provenance):
-        if tag == "text":
-            np.testing.assert_array_equal(head.W[c], avg[c])
-        else:
-            assert abs(np.linalg.norm(head.W[c]) - 1.0) < 1e-12
-            assert head.W[c].tobytes() != avg[c].tobytes()
+    W = init_head(HeadInitSpec(mode=MODE_PARTIAL, fraction=0.5, seed=7),
+                  avg, 8, 4)
+    text = _text_rows(W, avg)
+    assert len(text) == 4  # floor(0.5 * 8)
+    for c in range(8):
+        if c not in text:
+            assert abs(np.linalg.norm(W[c]) - 1.0) < 1e-12
 
 
 def test_partial_selection_is_seeded():
     avg = _avg(c=10, d=4)
-    pick = lambda s: tuple(init_head(
+    pick = lambda s: init_head(
         HeadInitSpec(mode=MODE_PARTIAL, fraction=0.5, seed=s), avg, 10, 4
-    ).init_provenance)
+    ).tobytes()
     assert pick(0) == pick(0)
     assert any(pick(0) != pick(s) for s in range(1, 6))
 

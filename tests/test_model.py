@@ -19,7 +19,6 @@ from cniprobe.errors import (
     ShapeMismatch,
     ZeroNormPooled,
 )
-from cniprobe.headinit import Head
 from cniprobe.model import (
     LOGIT_SCALE,
     TRAINABLE,
@@ -101,7 +100,7 @@ def test_forward_invariants(seed):
 def test_init_params_reproduces_cosine_scoring(rng):
     W = rng.normal(size=(4, 6))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
-    p = init_params(Head(W=W, init_provenance=[]))
+    p = init_params(W)
     tokens = rng.normal(size=(7, 3, 6))
     cache = forward(p, tokens)
     # identity adapter + zero query -> uniform attention over raw tokens
@@ -483,7 +482,7 @@ def test_model_params_validation():
         ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
                     W=np.zeros((2, 4)), b=np.zeros(2))
     with pytest.raises(ShapeMismatch, match="is not"):
-        init_params(Head(W=np.zeros(3), init_provenance=[]))
+        init_params(np.zeros(3))
 
 
 def test_params_copy_is_deep(rng):

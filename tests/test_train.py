@@ -21,7 +21,8 @@ from cniprobe.train import (
 
 
 def _cfg(**kw):
-    base = dict(epochs=8, batch_size=4, base_lr=1e-3, eval_every=4, seed=0)
+    base = dict(epochs=8, batch_size=4, base_lr=1e-3, loss=LossConfig(),
+                policy="PL", seed=0, eval_every=4, shots=None)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -131,18 +132,15 @@ def test_history_rejects_nonincreasing_epochs():
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(eval_every=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(policy="everything")
-    for bad in (dict(base_lr=0.0), dict(base_lr=-1.0), dict(shots=0),
-                dict(shots=-1)):
+    # every field is required: a RunSpec holds the defaults
+    with pytest.raises(TypeError):
+        TrainConfig()
+    _cfg()  # the complete, valid settings each bad case starts from
+    for bad in (dict(epochs=-1), dict(batch_size=0), dict(eval_every=0),
+                dict(policy="everything"), dict(base_lr=0.0),
+                dict(base_lr=-1.0), dict(shots=0), dict(shots=-1)):
         with pytest.raises(ConfigError):
-            TrainConfig(**bad)
+            _cfg(**bad)
 
 
 # --- sweep --------------------------------------------------------------------
