@@ -34,15 +34,7 @@ from . import benchmark
 from .benchmark import DistillSpec, RunSpec, fit
 from .dataset import (EmbeddingDataset, ShotSpec, SynthSpec, make_synthetic,
                       sample_k_shot)
-from .errors import (
-    CniProbeError,
-    ConfigError,
-    DataError,
-    NumericalError,
-    ParseError,
-    ShapeMismatch,
-    WriteError,
-)
+from .errors import CniProbeError, ConfigError, DataError, NumericalError
 from .evaluate import top1, zero_shot
 from .headinit import (MODE_CNI, MODE_RANDOM, TextEmbeddingBank,
                        average_text_embeddings, init_head)
@@ -74,21 +66,21 @@ _RUN_FIELDS = _names(RunSpec)
 
 
 def _check_out(out: Path) -> None:
-    """Raise WriteError unless `out` is new or an empty directory, and
+    """Raise DataError unless `out` is new or an empty directory, and
     the nearest existing path at or above it is a directory, so that a
     directory holds one command's outputs. Makes nothing."""
     existing = next((p for p in (out, *out.parents) if p.exists()), out)
     if not existing.is_dir():
-        raise WriteError(f"cannot make output directory {out}: "
-                         f"{existing} is not a directory")
+        raise DataError(f"cannot make output directory {out}: "
+                        f"{existing} is not a directory")
     if existing == out and any(out.iterdir()):
-        raise WriteError(f"output directory {out} is not empty")
+        raise DataError(f"output directory {out} is not empty")
 
 
 def _save(args, files: dict, spec=None) -> None:
     """Make ``--out`` and write `files` into it, by name: an array as
     CNIT, a dict as JSON, a string as text; then echo `spec`, the
-    resolved settings, as config.json. Any failure is a WriteError and
+    resolved settings, as config.json. Any failure is a DataError and
     removes the files and directories that this call made."""
     out = Path(args.out)
     if spec is not None:
@@ -107,15 +99,15 @@ def _save(args, files: dict, spec=None) -> None:
                 write_json(path, value)
             else:
                 write_tensor(path, value)
-    except (OSError, WriteError) as exc:  # an OSError names its file
+    except (OSError, DataError) as exc:  # an OSError names its file
         for path in written:
             if not path.is_dir():  # one that blocked its write stays
                 path.unlink(missing_ok=True)
         for path in filter(Path.exists, made):
             path.rmdir()
-        if isinstance(exc, WriteError):
+        if isinstance(exc, DataError):
             raise
-        raise WriteError(f"cannot write to {out}: {exc}") from exc
+        raise DataError(f"cannot write to {out}: {exc}") from exc
 
 
 def _read_json(path: str | Path, error: type[CniProbeError]) -> dict:
@@ -150,15 +142,16 @@ _hints = functools.cache(get_type_hints)  # spec class -> {field: type}
 def _convert(hint, value, where: str):
     """A flag string or JSON value as the field type `hint` (X or X | None).
 
-    Only a bool field takes a boolean, an int field takes a whole
-    number or a string of one, and a float field takes only a finite
-    value; anything else raises ConfigError.
+    Only a bool field takes a boolean, a str field takes only a string,
+    an int field takes a whole number or a string of one, and a float
+    field takes only a finite value; anything else raises ConfigError.
     """
     kinds = get_args(hint) or (hint,)
     if value is None and type(None) in kinds:
         return None
     kind = kinds[0]
-    if isinstance(value, bool) == (kind is bool):
+    if (isinstance(value, bool) == (kind is bool)
+            and (kind is not str or isinstance(value, str))):
         arg = value
         if kind is int and not isinstance(value, str):
             arg = _whole(value)
@@ -238,10 +231,10 @@ def _named(where: str | Path, cls, *args, **kwargs):
 def _read_split(doc, base: Path, where: str, num_classes: int) -> EmbeddingDataset:
     """One split's tensor pair; T and D come from the tokens, C from the bank."""
     if not isinstance(doc, dict):
-        raise ParseError(f"{where}: split must be a JSON object")
+        raise DataError(f"{where}: split must be a JSON object")
     for key in ("tokens", "labels"):
         if key not in doc:
-            raise ParseError(f"{where}: split missing field {key!r}")
+            raise DataError(f"{where}: split missing field {key!r}")
     return _named(where, EmbeddingDataset,
                   tokens=read_tensor(base / str(doc["tokens"])),
                   labels=read_tensor(base / str(doc["labels"])),
@@ -256,22 +249,22 @@ def load_experiment(manifest_path: str | Path):
     counts, or the bank's class names and prompt templates still load.
     """
     path = Path(manifest_path)
-    doc = _read_json(path, ParseError)
+    doc = _read_json(path, DataError)
     for key in ("train", "test", "bank"):
         if key not in doc:
-            raise ParseError(f"{path}: experiment manifest missing {key!r}")
+            raise DataError(f"{path}: experiment manifest missing {key!r}")
 
     base = path.parent
     bank_doc = doc["bank"]
     if not isinstance(bank_doc, dict) or "embeddings" not in bank_doc:
-        raise ParseError(f"{path}: bank section needs an 'embeddings' path")
+        raise DataError(f"{path}: bank section needs an 'embeddings' path")
     bank = _named(f"{path}: bank", TextEmbeddingBank,
                   read_tensor(base / str(bank_doc["embeddings"])))
     train_ds, test_ds = (_read_split(doc[key], base, f"{path}: {key}",
                                      bank.num_classes)
                          for key in ("train", "test"))
     if {train_ds.dim, test_ds.dim} != {bank.dim}:
-        raise ParseError(f"{path}: bank and splits disagree on C or D")
+        raise DataError(f"{path}: bank and splits disagree on C or D")
     return train_ds, test_ds, bank
 
 
@@ -288,8 +281,8 @@ def _read_params(path: str | Path, bank: TextEmbeddingBank) -> ModelParams:
     params = _named(d, ModelParams, *(read_tensor(d / f"params_{n}.cnit")
                                       for n in TRAINABLE[POLICY_ALL]))
     if params.W.shape != (bank.num_classes, bank.dim):
-        raise ShapeMismatch(f"{d}: model (C, D) = {params.W.shape} does not fit "
-                            f"the experiment's ({bank.num_classes}, {bank.dim})")
+        raise DataError(f"{d}: model (C, D) = {params.W.shape} does not fit "
+                        f"the experiment's ({bank.num_classes}, {bank.dim})")
     return params
 
 

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, InsufficientExamples, LabelOutOfRange,
-                     ShapeMismatch)
+from .errors import ConfigError, DataError
 from .headinit import TextEmbeddingBank
 from .rng import Stream, substream_seed
 
@@ -38,21 +37,19 @@ class EmbeddingDataset:
         tokens = np.asarray(self.tokens, dtype=np.float64)
         labels = np.asarray(self.labels)
         if tokens.ndim != 3:
-            raise ShapeMismatch(f"tokens shape {tokens.shape} is not (M, T, D)")
+            raise DataError(f"tokens shape {tokens.shape} is not (M, T, D)")
         m, t, d = tokens.shape
         if m < 1 or t < 1 or d < 1:
             raise DataError(f"dataset requires M,T,D >= 1, got {tokens.shape}")
         if labels.shape != (m,):
-            raise ShapeMismatch(f"labels shape {labels.shape} != ({m},)")
+            raise DataError(f"labels shape {labels.shape} != ({m},)")
         if self.num_classes < 1:
             raise DataError("num_classes must be >= 1")
         # both checks come before the int64 cast
         if np.any(labels != np.round(labels)):
-            raise LabelOutOfRange("labels must be integral")
+            raise DataError("labels must be integral")
         if labels.min() < 0 or labels.max() >= self.num_classes:
-            raise LabelOutOfRange(
-                f"labels must lie in [0, {self.num_classes})"
-            )
+            raise DataError(f"labels must lie in [0, {self.num_classes})")
         if not np.all(np.isfinite(tokens)):
             raise DataError("tokens contain NaN or Inf")
         self.tokens = tokens
@@ -99,7 +96,8 @@ def sample_k_shot(ds: EmbeddingDataset, spec: ShotSpec) -> list[int]:
     for c in range(ds.num_classes):
         idx = [int(i) for i in np.flatnonzero(ds.labels == c)]
         if len(idx) < spec.k:
-            raise InsufficientExamples(c, len(idx), spec.k)
+            raise DataError(f"class {c} has {len(idx)} examples but {spec.k} "
+                            "are required")
         stream.shuffle(idx)
         out.extend(idx[:spec.k])
     return out

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dataset import EmbeddingDataset
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, DataError
 from .model import ModelParams, forward
 from .train import MetricHistory, TrainConfig, train
 
@@ -42,7 +42,7 @@ def distill_train(
     """
     if teacher is not None and (teacher.num_classes != student0.num_classes
                                 or teacher.dim != student0.dim):
-        raise ShapeMismatch("teacher and student must share C and D")
+        raise DataError("teacher and student must share C and D")
     cfg = replace(cfg, policy="ALL")
     if cfg.loss.distill_weight == 0.0:
         return train(student0, labeled_ds, test_ds, cfg)

@@ -1,7 +1,7 @@
-"""Exception hierarchy shared by all cniprobe modules.
+"""The package's errors: one class per kind, one kind per CLI exit code.
 
-Three base classes map onto CLI exit codes: ConfigError -> 2,
-DataError -> 3, NumericalError -> 4.
+ConfigError -> 2, DataError -> 3, NumericalError -> 4. The message
+names the check that fired; no caller tells errors of a kind apart.
 """
 
 
@@ -14,82 +14,8 @@ class ConfigError(CniProbeError):
 
 
 class DataError(CniProbeError):
-    """Invalid or inconsistent input data (exit code 3)."""
+    """Invalid or inconsistent input or output data (exit code 3)."""
 
 
 class NumericalError(CniProbeError):
     """Numerical failure at runtime, e.g. degenerate norms (exit code 4)."""
-
-
-# --- tensor file format -----------------------------------------------------
-
-class WriteError(DataError):
-    """I/O failure while writing a tensor file."""
-
-
-class TensorFormatError(DataError):
-    """Malformed tensor file."""
-
-
-class BadMagic(TensorFormatError):
-    """File does not start with the expected magic bytes."""
-
-
-class BadVersion(TensorFormatError):
-    """Unsupported format version byte."""
-
-
-class UnsupportedDtype(TensorFormatError):
-    """Dtype byte other than the supported f32 code."""
-
-
-class LengthMismatch(TensorFormatError):
-    """File shorter or longer than the header-declared payload."""
-
-
-class NonFiniteValue(DataError):
-    """NaN or Inf encountered where finite values are required."""
-
-
-# --- manifests and datasets -------------------------------------------------
-
-class ParseError(DataError):
-    """Manifest JSON could not be parsed or is missing required fields."""
-
-
-class ShapeMismatch(DataError):
-    """Tensor shapes disagree with the declared or expected dimensions."""
-
-
-class LabelOutOfRange(DataError):
-    """A label falls outside [0, num_classes)."""
-
-
-class InsufficientExamples(DataError):
-    """A class has fewer examples than the requested shot count."""
-
-    def __init__(self, class_id: int, have: int, need: int):
-        self.class_id = class_id
-        self.have = have
-        self.need = need
-        super().__init__(
-            f"class {class_id} has {have} examples but {need} are required"
-        )
-
-
-class BadTeacherDistribution(DataError):
-    """Teacher probability rows are negative or do not sum to one."""
-
-
-# --- numerical degeneracies -------------------------------------------------
-
-class ZeroNormRow(NumericalError):
-    """A mean text-embedding row has (near-)zero norm and cannot be normalized."""
-
-    def __init__(self, row: int):
-        self.row = row
-        super().__init__(f"mean embedding for class {row} has zero norm")
-
-
-class ZeroNormPooled(NumericalError):
-    """A pooled image embedding has (near-)zero norm."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import EmbeddingDataset
-from .errors import ShapeMismatch, ZeroNormPooled
+from .errors import DataError, NumericalError
 from .headinit import TextEmbeddingBank, average_text_embeddings
 from .model import POLICY_ALL, ModelParams, forward, forward_from
 
@@ -55,7 +55,7 @@ def top1(params: ModelParams, ds: EmbeddingDataset,
          rows: np.ndarray | None = None, policy: str = POLICY_ALL) -> EvalReport:
     """Top-1 report, from ``rows = prefix(params, ds.tokens, policy)`` if given."""
     if params.num_classes != ds.num_classes:
-        raise ShapeMismatch("model and dataset disagree on class count")
+        raise DataError("model and dataset disagree on class count")
     cache = (forward(params, ds.tokens) if rows is None
              else forward_from(params, rows, policy))
     return _report(ds.labels, np.argmax(cache.logits, axis=1), ds.num_classes)
@@ -67,13 +67,13 @@ def zero_shot_predictions(bank: TextEmbeddingBank, ds: EmbeddingDataset) -> np.n
     means = ds.tokens.mean(axis=1)  # (M, D)
     norms = np.linalg.norm(means, axis=1)
     if np.any(norms < 1e-12):
-        raise ZeroNormPooled("token mean has zero norm")
+        raise NumericalError("token mean has zero norm")
     cosines = (means / norms[:, None]) @ rows.T
     return np.argmax(cosines, axis=1).astype(np.int64)
 
 
 def zero_shot(bank: TextEmbeddingBank, ds: EmbeddingDataset) -> EvalReport:
     if (bank.num_classes, bank.dim) != (ds.num_classes, ds.dim):
-        raise ShapeMismatch(f"bank (C={bank.num_classes}, D={bank.dim}) and "
-                            f"dataset (C={ds.num_classes}, D={ds.dim}) disagree")
+        raise DataError(f"bank (C={bank.num_classes}, D={bank.dim}) and "
+                        f"dataset (C={ds.num_classes}, D={ds.dim}) disagree")
     return _report(ds.labels, zero_shot_predictions(bank, ds), ds.num_classes)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeMismatch, ZeroNormRow
+from .errors import ConfigError, DataError, NumericalError
 from .rng import Stream
 
 MODE_RANDOM = "random"
@@ -34,7 +34,7 @@ class TextEmbeddingBank:
     def __post_init__(self):
         emb = np.asarray(self.embeddings, dtype=np.float64)
         if emb.ndim != 3:
-            raise ShapeMismatch("bank embeddings must have shape (N, C, D)")
+            raise DataError("bank embeddings must have shape (N, C, D)")
         n, c, d = emb.shape
         if n < 1 or c < 2 or d < 1:
             raise DataError(f"bank requires N>=1, C>=2, D>=1, got {emb.shape}")
@@ -75,42 +75,38 @@ class HeadInitSpec:
 def average_text_embeddings(bank: TextEmbeddingBank) -> np.ndarray:
     """Mean over the prompt axis, then L2-normalize each class row.
 
-    Raises ZeroNormRow if prompt embeddings for a class cancel out.
+    Raises NumericalError if prompt embeddings for a class cancel out.
     """
     mean = bank.embeddings.mean(axis=0)  # (C, D)
     norms = np.linalg.norm(mean, axis=1)
     for c, nrm in enumerate(norms):
         if nrm < _NORM_EPS:
-            raise ZeroNormRow(c)
+            raise NumericalError(f"mean embedding for class {c} has zero norm")
     return mean / norms[:, None]
 
 
 def init_head(
     spec: HeadInitSpec,
-    avg: np.ndarray | None,
+    avg: np.ndarray,
     num_classes: int,
     dim: int,
 ) -> np.ndarray:
     """The (C, D) head weight per ``spec``.
 
-    ``avg`` is the (C, D) output of average_text_embeddings; required for
-    cni and partial modes. Random rows are drawn i.i.d. standard normal
-    and normalized to unit length so they match the text rows' norms.
+    ``avg`` is the (C, D) output of average_text_embeddings; random mode
+    checks its shape but does not use it. Random rows are drawn i.i.d.
+    standard normal and normalized to unit length so they match the
+    text rows' norms.
     Partial mode Fisher-Yates-shuffles the class indices with the seeded
     stream, keeps the first floor(fraction*C) of them as text rows, then
     draws the remaining rows from the same stream in ascending class
     order. Which rows are text is not recorded: they are the rows equal
     to ``avg``'s, and the spec rebuilds the head.
     """
-    if spec.mode in (MODE_CNI, MODE_PARTIAL):
-        if avg is None:
-            raise ShapeMismatch(f"{spec.mode} init requires averaged text embeddings")
-        avg = np.asarray(avg, dtype=np.float64)
-        if avg.shape != (num_classes, dim):
-            raise ShapeMismatch(
-                f"averaged embeddings shape {avg.shape} != ({num_classes}, {dim})"
-            )
-
+    avg = np.asarray(avg, dtype=np.float64)
+    if avg.shape != (num_classes, dim):
+        raise DataError(
+            f"averaged embeddings shape {avg.shape} != ({num_classes}, {dim})")
     if spec.mode == MODE_CNI:
         return avg.copy()
 

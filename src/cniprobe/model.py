@@ -29,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadTeacherDistribution,
-    ConfigError,
-    DataError,
-    ShapeMismatch,
-    ZeroNormPooled,
-)
+from .errors import ConfigError, DataError, NumericalError
 
 POLICY_L = "L"
 POLICY_PL = "PL"
@@ -68,12 +62,12 @@ class ModelParams:
         groups = [np.asarray(g, dtype=np.float64) for g in (A, a, q, W, b)]
         A, a, q, W, b = groups
         if A.ndim != 2 or W.ndim != 2:
-            raise ShapeMismatch("adapter and head weights must be matrices")
+            raise DataError("adapter and head weights must be matrices")
         d, c = A.shape[0], W.shape[0]
         if A.shape != (d, d) or a.shape != (d,) or q.shape != (d,):
-            raise ShapeMismatch("adapter/pooler shapes inconsistent")
+            raise DataError("adapter/pooler shapes inconsistent")
         if W.shape != (c, d) or b.shape != (c,):
-            raise ShapeMismatch("head shapes inconsistent with (C, D)")
+            raise DataError("head shapes inconsistent with (C, D)")
         self.flat = np.concatenate([g.reshape(-1) for g in groups])
         views = np.split(self.flat, np.cumsum([g.size for g in groups[:-1]]))
         self.A, self.a, self.q, self.W, self.b = (
@@ -103,7 +97,7 @@ def init_params(W: np.ndarray) -> ModelParams:
     the head rows.
     """
     if np.ndim(W) != 2:
-        raise ShapeMismatch(f"head weight of shape {np.shape(W)} is not (C, D)")
+        raise DataError(f"head weight of shape {np.shape(W)} is not (C, D)")
     c, dim = np.shape(W)
     return ModelParams(A=np.eye(dim), a=np.zeros(dim), q=np.zeros(dim),
                        W=W, b=np.zeros(c))
@@ -156,7 +150,7 @@ def _unit(pooled: np.ndarray):
     """Pooled rows made unit in place, and their norms; a zero norm raises."""
     norms = np.sqrt(np.add.reduce(pooled * pooled, axis=1))  # np.linalg.norm
     if (norms < _POOL_EPS).any():
-        raise ZeroNormPooled("pooled embedding has zero norm")
+        raise NumericalError("pooled embedding has zero norm")
     pooled /= norms[:, None]
     return pooled, norms
 
@@ -172,8 +166,8 @@ def _as_rows(p: ModelParams, rows: np.ndarray, policy: str) -> np.ndarray:
     trainable_names(policy)
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != (2 if policy == POLICY_L else 3) or rows.shape[-1] != p.dim:
-        raise ShapeMismatch(f"{policy} rows of shape {rows.shape} "
-                            f"incompatible with D={p.dim}")
+        raise DataError(f"{policy} rows of shape {rows.shape} "
+                        f"incompatible with D={p.dim}")
     return rows
 
 
@@ -228,13 +222,11 @@ def teacher_targets(teacher_probs: np.ndarray, num_classes: int,
     """Checked teacher rows at temperature tau: softmax(log p / tau)."""
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
     if teacher_probs.ndim != 2 or teacher_probs.shape[1] != num_classes:
-        raise BadTeacherDistribution(
-            f"teacher probabilities shape {teacher_probs.shape} invalid"
-        )
+        raise DataError(f"teacher probabilities shape {teacher_probs.shape} invalid")
     if np.any(teacher_probs < -1e-12):
-        raise BadTeacherDistribution("teacher probabilities must be >= 0")
+        raise DataError("teacher probabilities must be >= 0")
     if np.any(np.abs(teacher_probs.sum(axis=1) - 1.0) > 1e-6):
-        raise BadTeacherDistribution("teacher probability rows must sum to 1")
+        raise DataError("teacher probability rows must sum to 1")
     if tau == 1.0:
         return teacher_probs
     with np.errstate(divide="ignore"):
@@ -253,7 +245,7 @@ def _kl_rows(teacher_tau: np.ndarray, student_probs_tau: np.ndarray) -> np.ndarr
 
 def _check_rows(cache: ForwardCache, *rows: np.ndarray | None) -> None:
     if any(t is not None and t.shape != cache.probs.shape for t in rows):
-        raise ShapeMismatch("target rows must match the batch's (B, C) logits")
+        raise DataError("target rows must match the batch's (B, C) logits")
 
 
 def loss_total(

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, DataError
 from .model import TRAINABLE, ModelParams
 
 BETA1 = 0.9
@@ -49,7 +49,7 @@ class AdafactorState:
 
     def _start(self, params: ModelParams, names: tuple[str, ...]) -> None:
         if names not in TRAINABLE.values():
-            raise ShapeMismatch(f"gradients {names} are not a policy's groups")
+            raise DataError(f"gradients {names} are not a policy's groups")
         groups = [params.group(n) for n in names]
         self.layout = [(n, g.shape) for n, g in zip(names, groups)]
         ends = np.cumsum([g.size for g in groups]).tolist()
@@ -75,7 +75,7 @@ def adafactor_step(state: AdafactorState, params: ModelParams,
     if state.layout is None:
         state._start(params, tuple(grads))
     if layout != state.layout:
-        raise ShapeMismatch(f"gradients {layout} do not fit {state.layout}")
+        raise DataError(f"gradients {layout} do not fit {state.layout}")
     state.step += 1
     b2 = min(BETA2, 1.0 - math.pow(state.step, -0.8))  # 1 - t^-0.8, capped
     new2, new1 = 1.0 - b2, 1.0 - BETA1

@@ -20,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    BadVersion,
-    LengthMismatch,
-    NonFiniteValue,
-    UnsupportedDtype,
-    WriteError,
-)
+from .errors import DataError
 
 MAGIC = b"CNIT"
 VERSION = 0x01
@@ -45,7 +38,7 @@ def write_tensor(path: str | Path, t: np.ndarray) -> None:
             f.write(dims)
             f.write(arr.tobytes(order="C"))
     except OSError as exc:
-        raise WriteError(f"cannot write tensor to {path}: {exc}") from exc
+        raise DataError(f"cannot write tensor to {path}: {exc}") from exc
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
@@ -57,33 +50,32 @@ def read_tensor(path: str | Path) -> np.ndarray:
         with open(path, "rb") as f:
             blob = f.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise LengthMismatch(f"cannot read tensor from {path}: {exc}") from exc
+        raise DataError(f"cannot read tensor from {path}: {exc}") from exc
 
     if len(blob) < 7:
-        raise LengthMismatch(f"{path}: file shorter than the 7-byte header")
+        raise DataError(f"{path}: file shorter than the 7-byte header")
     if blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: magic {blob[:4]!r} != {MAGIC!r}")
+        raise DataError(f"{path}: magic {blob[:4]!r} != {MAGIC!r}")
     version, dtype, ndim = blob[4], blob[5], blob[6]
     if version != VERSION:
-        raise BadVersion(f"{path}: version {version} unsupported")
+        raise DataError(f"{path}: version {version} unsupported")
     if dtype != DTYPE_F32:
-        raise UnsupportedDtype(f"{path}: dtype byte {dtype} unsupported")
+        raise DataError(f"{path}: dtype byte {dtype} unsupported")
 
     dims_end = 7 + 8 * ndim
     if len(blob) < dims_end:
-        raise LengthMismatch(f"{path}: truncated dimension block")
+        raise DataError(f"{path}: truncated dimension block")
     shape = struct.unpack(f"<{ndim}Q", blob[7:dims_end])
     numel = 1
     for d in shape:
         numel *= d
     expected = dims_end + 4 * numel
     if len(blob) != expected:
-        raise LengthMismatch(
-            f"{path}: expected {expected} bytes for shape {shape}, got {len(blob)}"
-        )
+        raise DataError(f"{path}: expected {expected} bytes for shape {shape}, "
+                        f"got {len(blob)}")
     data = np.frombuffer(blob[dims_end:], dtype="<f4").reshape(shape)
     if not np.all(np.isfinite(data)):
-        raise NonFiniteValue(f"{path}: tensor contains NaN or Inf")
+        raise DataError(f"{path}: tensor contains NaN or Inf")
     return data.copy()
 
 
@@ -94,4 +86,4 @@ def write_json(path: str | Path, doc: dict) -> None:
             json.dump(doc, f, indent=2, sort_keys=True)
             f.write("\n")
     except OSError as exc:
-        raise WriteError(f"cannot write JSON to {path}: {exc}") from exc
+        raise DataError(f"cannot write JSON to {path}: {exc}") from exc

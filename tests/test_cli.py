@@ -15,8 +15,7 @@ from cniprobe import cli, tensorio
 from cniprobe.benchmark import RunSpec, make_benchmark
 from cniprobe.cli import build_parser, load_experiment, main
 from cniprobe.dataset import EmbeddingDataset, SynthSpec
-from cniprobe.errors import (LabelOutOfRange, ParseError, ShapeMismatch,
-                             WriteError)
+from cniprobe.errors import DataError
 from cniprobe.evaluate import predictions
 from cniprobe.headinit import average_text_embeddings
 from cniprobe.model import forward_from, prefix
@@ -556,7 +555,7 @@ def test_failed_write_leaves_no_files_and_no_new_out(data_dir, tmp_path, capsys,
     def full_disk(path, t):  # the third tensor write fails
         written.append(path)
         if len(written) == 3:
-            raise WriteError(f"cannot write tensor to {path}: disk full")
+            raise DataError(f"cannot write tensor to {path}: disk full")
         write_tensor(path, t)
 
     monkeypatch.setattr(cli, "write_tensor", full_disk)
@@ -841,10 +840,19 @@ def test_sweep_entry_out_of_range_exits_2_before_any_run(data_dir, tmp_path,
                  "epochs must be", id="distill"),
     pytest.param(["eval", "--zero-shot", "--split", "bogus"], "unknown split",
                  id="eval"),
+] + [  # a string setting takes only a JSON string, never its str()
+    pytest.param(argv + ["--config", doc], f"{key}: expected str, got {value!r}",
+                 id=f"config-{key}")
+    for argv, doc in ((["eval"], {"params": 5}), (["train"], {"init": ["cni"]}),
+                      (["eval", "--zero-shot"], {"split": 1}))
+    for key, value in doc.items()
 ])
 def test_out_of_range_setting_exits_2_before_input_is_read(tmp_path, capsys,
                                                            argv, message):
     # every input named here is missing, so reading one would exit 3
+    if isinstance(argv[-1], dict):  # a --config file's content
+        write_json(tmp_path / "cfg.json", argv[-1])
+        argv = argv[:-1] + [str(tmp_path / "cfg.json")]
     out = tmp_path / "out"
     manifest = [] if argv[0] == "synth" else [
         "--manifest", str(tmp_path / "missing.json")]
@@ -1058,38 +1066,44 @@ def _labels(values):
     return lambda doc, root: write_tensor(root / "lab.cnit", np.array(values))
 
 
-@pytest.mark.parametrize("edit, error", [
+_DISAGREE = "manifest.json: bank and splits disagree on C or D"
+
+
+@pytest.mark.parametrize("edit, why", [
     pytest.param(lambda doc, root: doc.update(train=["tok.cnit", "lab.cnit"]),
-                 ParseError, id="split_not_object"),
-    pytest.param(lambda doc, root: doc["train"].pop("tokens"), ParseError,
-                 id="missing_tokens"),
-    pytest.param(lambda doc, root: doc["test"].pop("labels"), ParseError,
-                 id="missing_labels"),
+                 "train: split must be a JSON object", id="split_not_object"),
+    pytest.param(lambda doc, root: doc["train"].pop("tokens"),
+                 "train: split missing field 'tokens'", id="missing_tokens"),
+    pytest.param(lambda doc, root: doc["test"].pop("labels"),
+                 "test: split missing field 'labels'", id="missing_labels"),
     pytest.param(lambda doc, root: write_tensor(root / "tok.cnit",
                                                 np.ones((4, 6))),
-                 ShapeMismatch, id="tokens_rank"),
-    pytest.param(_labels([0.0, 1.0]), ShapeMismatch, id="labels_length"),
-    pytest.param(_labels([0.0, 0.5, 1.0, 1.0]), LabelOutOfRange,
+                 r"train: tokens shape \(4, 6\) is not \(M, T, D\)",
+                 id="tokens_rank"),
+    pytest.param(_labels([0.0, 1.0]), r"train: labels shape \(2,\) != \(4,\)",
+                 id="labels_length"),
+    pytest.param(_labels([0.0, 0.5, 1.0, 1.0]), "train: labels must be integral",
                  id="fractional_labels"),
-    pytest.param(_labels([0.0, 1.0, 2.0, 0.0]), LabelOutOfRange,
-                 id="out_of_range_labels"),
-    pytest.param(lambda doc, root: doc.pop("test"), ParseError,
-                 id="missing_test"),
-    pytest.param(lambda doc, root: doc["bank"].pop("embeddings"), ParseError,
+    pytest.param(_labels([0.0, 1.0, 2.0, 0.0]),
+                 r"train: labels must lie in \[0, 2\)", id="out_of_range_labels"),
+    pytest.param(lambda doc, root: doc.pop("test"),
+                 "experiment manifest missing 'test'", id="missing_test"),
+    pytest.param(lambda doc, root: doc["bank"].pop("embeddings"),
+                 "bank section needs an 'embeddings' path",
                  id="bank_without_embeddings"),
     pytest.param(lambda doc, root: write_tensor(root / "bank.cnit",
                                                 np.eye(2, 4)[None]),
-                 ParseError, id="bank_dim"),
+                 _DISAGREE, id="bank_dim"),
     pytest.param(lambda doc, root: (
         write_tensor(root / "tok4.cnit", np.ones((4, 2, 4))),
         doc["test"].update(tokens="tok4.cnit")),
-                 ParseError, id="test_split_dim"),
+                 _DISAGREE, id="test_split_dim"),
 ])
-def test_load_experiment_rejects_bad_manifest(tmp_path, edit, error):
+def test_load_experiment_rejects_bad_manifest(tmp_path, edit, why):
     doc, _, _ = _tiny_experiment(tmp_path)
     edit(doc, tmp_path)
     write_json(tmp_path / "manifest.json", doc)
-    with pytest.raises(error):
+    with pytest.raises(DataError, match=why):
         load_experiment(tmp_path / "manifest.json")
 
 

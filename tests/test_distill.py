@@ -7,7 +7,7 @@ from cniprobe import benchmark
 from cniprobe.benchmark import DistillSpec, RunSpec
 from cniprobe.dataset import SynthSpec, make_synthetic
 from cniprobe.distill import distill_train, teacher_predict
-from cniprobe.errors import ConfigError, ShapeMismatch
+from cniprobe.errors import ConfigError, DataError
 from cniprobe.headinit import HeadInitSpec, MODE_CNI, average_text_embeddings, init_head
 from cniprobe.model import POLICY_ALL, TRAINABLE, LossConfig, init_params
 from cniprobe.train import TrainConfig, train
@@ -97,7 +97,7 @@ def test_pool_dim_mismatch_rejected(setup):
         classes=3, dim=4, tokens=2, train_per_class=2, test_per_class=2,
         prompts=2, img_noise=0.2, txt_noise=0.1))
     cfg = _cfg(loss=LossConfig(distill_weight=1.0))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="incompatible with D=8"):
         distill_train(teacher, student0.copy(), train_ds, other, test_ds, cfg)
 
 
@@ -112,7 +112,7 @@ def test_teacher_student_shape_mismatch_rejected(tiny_problem):
         prompts=2, img_noise=0.2, txt_noise=0.1, seed=2))
     o_head = init_head(HeadInitSpec(mode=MODE_CNI),
                        average_text_embeddings(o_bank), 4, 8)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="teacher and student must share C and D"):
         distill_train(init_params(o_head), student, train_ds, train_ds,
                       test_ds, _cfg())
 

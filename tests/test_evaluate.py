@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cniprobe.dataset import EmbeddingDataset, SynthSpec, make_synthetic
-from cniprobe.errors import ShapeMismatch
+from cniprobe.errors import DataError
 from cniprobe.evaluate import (
     predictions,
     top1,
@@ -111,11 +111,11 @@ def test_report_invariant_to_example_order(tiny_problem):
 def test_class_count_mismatch_rejected(tiny_problem):
     train_ds, _, bank = tiny_problem
     p = _identity_params(5, 8)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="model and dataset disagree"):
         top1(p, train_ds)
     other = TextEmbeddingBank(
         embeddings=np.random.default_rng(0).normal(size=(2, 5, 8)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"bank \(C=5, D=8\) and dataset \(C=3"):
         zero_shot(other, train_ds)
 
 
@@ -123,7 +123,7 @@ def test_zero_shot_rejects_a_bank_of_another_dim(tiny_problem):
     train_ds, _, _ = tiny_problem  # D = 8
     other = TextEmbeddingBank(
         embeddings=np.random.default_rng(0).normal(size=(2, 3, 5)))
-    with pytest.raises(ShapeMismatch, match="D=5"):
+    with pytest.raises(DataError, match="D=5"):
         zero_shot(other, train_ds)
 
 

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cniprobe.errors import (
-    BadTeacherDistribution,
-    ConfigError,
-    DataError,
-    ShapeMismatch,
-    ZeroNormPooled,
-)
+from cniprobe.errors import ConfigError, DataError, NumericalError
 from cniprobe.model import (
     LOGIT_SCALE,
     TRAINABLE,
@@ -111,13 +105,13 @@ def test_init_params_reproduces_cosine_scoring(rng):
 
 def test_forward_rejects_bad_rank_and_dim(rng):
     p = random_params(rng)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"ALL rows of shape \(5, 4\)"):
         forward(p, rng.normal(size=(5, 4)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"ALL rows of shape \(5, 3, 7\)"):
         forward(p, rng.normal(size=(5, 3, 7)))
-    with pytest.raises(ShapeMismatch):  # L rows are (B, D)
-        forward_from(p, rng.normal(size=(5, 3, 4)), "L")
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"^L rows of shape \(5, 3, 4\)"):
+        forward_from(p, rng.normal(size=(5, 3, 4)), "L")  # L rows are (B, D)
+    with pytest.raises(DataError, match=r"ALL rows of shape \(5, 4\)"):
         prefix(p, rng.normal(size=(5, 4)), "PL")
     with pytest.raises(ConfigError):
         prefix(p, rng.normal(size=(5, 3, 4)), "PLX")
@@ -152,9 +146,9 @@ def test_forward_zero_norm_pooled():
     p.A[:] = np.eye(4)
     v = np.array([1.0, 2.0, 3.0, 4.0])
     tokens = np.stack([np.stack([v, -v])])  # mean exactly zero
-    with pytest.raises(ZeroNormPooled):
+    with pytest.raises(NumericalError, match="pooled embedding has zero norm"):
         forward(p, tokens)
-    with pytest.raises(ZeroNormPooled):  # checked once, when L rows are built
+    with pytest.raises(NumericalError, match="pooled embedding"):  # checked once, when L rows are built
         prefix(p, tokens, "L")
 
 
@@ -260,26 +254,27 @@ def test_distill_handles_exact_zero_teacher_mass(rng):
 
 
 def test_bad_teacher_rejected():
-    for bad in (np.array([[0.7, 0.4, -0.1], [1, 0, 0]]),
-                np.array([[0.7, 0.7, 0.1], [1, 0, 0]]), np.ones((2, 4)) / 4):
-        with pytest.raises(BadTeacherDistribution):
+    for bad, why in ((np.array([[0.7, 0.4, -0.1], [1, 0, 0]]), "must be >= 0"),
+                     (np.array([[0.7, 0.7, 0.1], [1, 0, 0]]), "must sum to 1"),
+                     (np.ones((2, 4)) / 4, r"shape \(2, 4\) invalid")):
+        with pytest.raises(DataError, match=why):
             teacher_targets(bad, 3, 1.0)
 
 
 def test_labels_out_of_range_rejected():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 3\)"):
         smoothed_targets(np.array([0, 3]), 3, 0.1)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"labels must lie in \[0, 3\)"):
         smoothed_targets(np.array([-1, 0]), 3, 0.1)
 
 
 def test_loss_rows_must_match_the_batch(rng):
     p = random_params(rng, c=3, d=4)
     cache = forward(p, rng.normal(size=(2, 2, 4)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="target rows must match"):
         loss_total(cache, smoothed_targets(np.array([0, 1, 2]), 3, 0.1), p,
                    None, LossConfig())
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="target rows must match"):
         loss_total(cache, None, p, None, LossConfig(distill_weight=1.0),
                    np.ones((2, 4)) / 4)
 
@@ -475,13 +470,13 @@ def test_anchor_gradient_only_touches_anchored_groups(rng):
 
 
 def test_model_params_validation():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match="adapter/pooler shapes inconsistent"):
         ModelParams(A=np.eye(3), a=np.zeros(4), q=np.zeros(3),
                     W=np.zeros((2, 3)), b=np.zeros(2))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"head shapes inconsistent with \(C, D\)"):
         ModelParams(A=np.eye(3), a=np.zeros(3), q=np.zeros(3),
                     W=np.zeros((2, 4)), b=np.zeros(2))
-    with pytest.raises(ShapeMismatch, match="is not"):
+    with pytest.raises(DataError, match=r"head weight of shape \(3,\) is not"):
         init_params(np.zeros(3))
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cniprobe.errors import ConfigError, ShapeMismatch
+from cniprobe.errors import ConfigError, DataError
 from cniprobe.model import TRAINABLE, ModelParams
 from cniprobe.optim import (
     BETA1,
@@ -163,7 +163,7 @@ def test_step_counter_shared_across_params():
 
 def test_rank3_parameter_rejected():
     state = AdafactorState()
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=r"\('W', \(2, 2, 1\)\).* do not fit"):
         adafactor_step(state, make_params(), {"W": np.ones((2, 2, 1)),
                                               "b": np.ones(2)}, lr=0.1)
 
@@ -171,17 +171,18 @@ def test_rank3_parameter_rejected():
 def test_gradient_shape_and_name_mismatches():
     p = make_params()
     w = np.ones((2, 2))
-    for grads in ({"W": w, "b": np.ones(3)},                 # wrong shape
-                  {"W": w, "w": np.ones(2)},                 # unknown group
-                  {"b": np.ones(2)}, {"W": w},               # no policy's
-                  {"A": np.eye(2), "b": np.ones(2)},
-                  {"b": np.ones(2), "W": w},                 # out of order
-                  {}):
-        with pytest.raises(ShapeMismatch):
+    not_groups = "are not a policy's groups"
+    for grads, why in (({"W": w, "b": np.ones(3)}, "do not fit"),  # wrong shape
+                       ({"W": w, "w": np.ones(2)}, not_groups),    # unknown group
+                       ({"b": np.ones(2)}, not_groups), ({"W": w}, not_groups),
+                       ({"A": np.eye(2), "b": np.ones(2)}, not_groups),
+                       ({"b": np.ones(2), "W": w}, not_groups),    # out of order
+                       ({}, not_groups)):
+        with pytest.raises(DataError, match=why):
             adafactor_step(AdafactorState(), p, grads, lr=0.1)
     state = AdafactorState()
     adafactor_step(state, p, {"W": w, "b": np.ones(2)}, lr=0.1)
-    with pytest.raises(ShapeMismatch):  # the state is sized for its groups
+    with pytest.raises(DataError, match="do not fit"):  # sized for its groups
         adafactor_step(state, p, {"q": np.ones(2), "W": w, "b": np.ones(2)},
                        lr=0.1)
 

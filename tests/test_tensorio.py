@@ -7,15 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cniprobe.errors import (
-    BadMagic,
-    BadVersion,
-    LengthMismatch,
-    NonFiniteValue,
-    TensorFormatError,
-    UnsupportedDtype,
-    WriteError,
-)
+from cniprobe.errors import DataError
 from cniprobe.tensorio import read_tensor, write_json, write_tensor
 
 @st.composite
@@ -82,7 +74,8 @@ def test_truncation_always_rejected(tmp_path):
     bad = tmp_path / "bad.cnit"
     for cut in range(len(blob)):
         bad.write_bytes(blob[:cut])
-        with pytest.raises(TensorFormatError):
+        with pytest.raises(DataError, match=r"shorter than the 7-byte header"
+                           r"|truncated dimension block|expected \d+ bytes"):
             read_tensor(bad)
 
 
@@ -90,7 +83,7 @@ def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "t.cnit"
     write_tensor(path, np.zeros((2, 2), dtype=np.float32))
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match=r"expected 39 bytes .*, got 43"):
         read_tensor(path)
 
 
@@ -100,7 +93,7 @@ def test_bad_magic(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"JUNK"
     path.write_bytes(bytes(blob))
-    with pytest.raises(BadMagic):
+    with pytest.raises(DataError, match="magic b'JUNK' != b'CNIT'"):
         read_tensor(path)
 
 
@@ -110,7 +103,7 @@ def test_bad_version(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[4] = 0x02
     path.write_bytes(bytes(blob))
-    with pytest.raises(BadVersion):
+    with pytest.raises(DataError, match="version 2 unsupported"):
         read_tensor(path)
 
 
@@ -120,7 +113,7 @@ def test_bad_dtype(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[5] = 0x07
     path.write_bytes(bytes(blob))
-    with pytest.raises(UnsupportedDtype):
+    with pytest.raises(DataError, match="dtype byte 7 unsupported"):
         read_tensor(path)
 
 
@@ -131,21 +124,21 @@ def test_random_bytes_never_crash(tmp_path_factory, blob):
     path.write_bytes(blob)
     try:
         read_tensor(path)
-    except TensorFormatError:
+    except DataError:
         pass  # the documented failure mode
 
 
 def test_nonfinite_gate(tmp_path):
     path = tmp_path / "t.cnit"
     write_tensor(path, np.array([1.0, np.inf], dtype=np.float32))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(DataError, match="tensor contains NaN or Inf"):
         read_tensor(path)
     payload = np.frombuffer(path.read_bytes()[7 + 8:], dtype="<f4")
     assert payload[0] == 1.0 and np.isinf(payload[1])  # written as given
 
 
 def test_missing_file_is_data_error(tmp_path):
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DataError, match="cannot read tensor from .*nope.cnit"):
         read_tensor(tmp_path / "nope.cnit")
 
 
@@ -163,8 +156,8 @@ def test_write_json_is_deterministic(tmp_path):
 def test_unwritable_path_is_write_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_bytes(b"keep")
-    with pytest.raises(WriteError):
+    with pytest.raises(DataError, match="cannot write tensor to"):
         write_tensor(blocker / "x.cnit", np.zeros(2))
-    with pytest.raises(WriteError):
+    with pytest.raises(DataError, match="cannot write JSON to"):
         write_json(blocker / "x.json", {})
     assert blocker.read_bytes() == b"keep"

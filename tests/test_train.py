@@ -177,7 +177,8 @@ def test_sweep_order_and_error_capture(tiny_problem):
     rows = sweep(bank, train_ds, test_ds, entries)
     assert [r.label for r in rows] == ["e0", "boom", "e1"]
     assert rows[1].final_top1 is None
-    assert "InsufficientExamples" in rows[1].error
+    assert rows[1].error.startswith("DataError: class 0 has ")
+    assert rows[1].error.endswith(" examples but 1000000 are required")
     assert rows[0].error is None and rows[2].error is None
 
 
