@@ -18,8 +18,9 @@ form, with frozen parameter groups receiving no gradient entry.
 its frozen stages, which a training run computes once per set.
 The adapter is affine, so ALL never builds its (B, T, D) output: alpha
 is the softmax of <t_i, A^T q> / sqrt(D) (the shift <a, q> cancels) and
-H = A tbar + a with tbar = sum_i alpha_i t_i. ``forward`` runs the
-adapter explicitly.
+H = A tbar + a with tbar = sum_i alpha_i t_i, each a stacked matmul of
+one product per example, so an example's row is the same in any batch.
+``forward`` runs the adapter explicitly.
 """
 
 from __future__ import annotations
@@ -192,11 +193,14 @@ def forward_from(p: ModelParams, rows: np.ndarray, policy: str) -> ForwardCache:
         pooled_unit = rows
     elif policy == POLICY_PL:
         attn, pooled_unit, norms = _pool(p, rows)
-    else:  # einsum, not @: its sums do not depend on the batch's row count
+    else:  # an einsum and stacked matmuls: no example's sums depend on
+        # the batch's row count, as a (B, D) @ (D, D) product's may
         scores = np.einsum("btd,d->bt", rows, (p.q @ p.A) / math.sqrt(p.dim))
         attn = _softmax_rows(scores)  # <a, q> is the same for every token
-        tbar = np.einsum("bt,btd->bd", attn, rows)
-        pooled_unit, norms = _unit(np.einsum("de,be->bd", p.A, tbar) + p.a)
+        tbar = np.matmul(attn[:, None, :], rows)[:, 0]
+        pooled = np.matmul(p.A, tbar[:, :, None])[:, :, 0]
+        pooled += p.a
+        pooled_unit, norms = _unit(pooled)
     logits = LOGIT_SCALE * (pooled_unit @ p.W.T) + p.b
     return ForwardCache(tbar, attn, pooled_unit, norms, logits, _softmax_rows(logits))
 
@@ -324,17 +328,19 @@ def backward(
         d_unit = LOGIT_SCALE * (g_logits @ p.W)  # (B, D)
         radial = np.add.reduce(d_unit * cache.pooled_unit, axis=1, keepdims=True)
         d_pool = (d_unit - radial * cache.pooled_unit) / cache.pool_norms[:, None]
-        # PL rows are the u_i; for ALL's rows t_i, <a, d_pool> cancels in the softmax
-        d_rows = d_pool if policy == POLICY_PL else d_pool @ p.A
-        d_attn = np.einsum("btd,bd->bt", rows, d_rows)
+        if policy == POLICY_PL:  # rows are the u_i
+            d_attn = np.einsum("btd,bd->bt", rows, d_pool)
+        else:  # rows are the t_i; <a, d_pool> cancels in the softmax
+            d_attn = np.matmul(rows, (d_pool @ p.A)[:, :, None])[:, :, 0]
         inner = np.add.reduce(cache.attn * d_attn, axis=1, keepdims=True)
         d_scores = cache.attn * (d_attn - inner)
-        s = np.einsum("bt,btd->d", d_scores, rows) / math.sqrt(p.dim)
         if policy == POLICY_PL:
-            grads["q"] = s
+            grads["q"] = np.einsum("bt,btd->d", d_scores, rows) / math.sqrt(p.dim)
         else:  # rows of d_scores sum to 0: sum_i d_score_i u_i / sqrt(D) = A s
+            s = (d_scores.reshape(-1) @ rows.reshape(-1, p.dim)) / math.sqrt(p.dim)
             grads["q"] = p.A @ s
-            grads["A"] = d_pool.T @ cache.tbar + p.q[:, None] * s
+            grads["A"] = d_pool.T @ cache.tbar
+            grads["A"] += p.q[:, None] * s
             grads["a"] = np.add.reduce(d_pool, axis=0)
 
     if anchor is not None and cfg.anchor_lambda > 0.0:

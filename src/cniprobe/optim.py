@@ -10,8 +10,9 @@ into gradients. The second-moment decay is ``1 - t^-0.8`` capped at
 ``BETA2``, and ``EPS1`` is added to every squared gradient.
 
 A step makes one numpy call per elementwise operation over the whole
-trainable suffix of ``ModelParams.flat``, and keeps the order of every
-sum of a group-by-group step, so the bytes are the same.
+trainable suffix of ``ModelParams.flat`` and over one buffer of every
+matrix's row and column accumulators, and keeps the order of every sum
+of a group-by-group step, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 class AdafactorState:
     """Buffers over the trainable suffix, sized by the first step: ``mom``,
     ``vhat`` (a vector's span is its second moment, a matrix's is rebuilt
-    from its ``factors``) and scratch. Each matrix owns its row and column
-    mean squares."""
+    from its ``factors``) and scratch. Every matrix's row and column mean
+    squares are views of one buffer ``acc``, stepped in whole-buffer calls."""
 
     def __init__(self):
         self.step = 0
@@ -56,10 +57,15 @@ class AdafactorState:
         spans = [slice(end - g.size, end) for g, end in zip(groups, ends)]
         self.update, self.sq, self.sq_update, self.mom, self.vhat = np.zeros((5, ends[-1]))
         self.clip = [(self.update[s], self.sq_update[s]) for s in spans]
-        self.factors = {  # name -> (row, column mean squares, spans of sq, vhat)
-            n: (np.zeros(g.shape[0]), np.zeros(g.shape[1]),
-                self.sq[s].reshape(g.shape), self.vhat[s].reshape(g.shape))
-            for n, g, s in zip(names, groups, spans) if g.ndim == 2}
+        mats = [(n, g.shape, s) for n, g, s in zip(names, groups, spans) if g.ndim == 2]
+        cuts = np.cumsum([k for _, sh, _ in mats for k in sh])
+        self.acc, self.means = np.zeros((2, cuts[-1]))
+        # n row means of an (n, m) matrix divide by m, its m column means by n
+        self.counts = np.concatenate([np.repeat(sh[::-1], sh) for _, sh, _ in mats])
+        acc, means = (iter(np.split(b, cuts[:-1])) for b in (self.acc, self.means))
+        self.factors = {  # name -> rows and columns of acc, of means; spans of sq, vhat
+            n: (next(acc), next(acc), next(means), next(means),
+                self.sq[s].reshape(sh), self.vhat[s].reshape(sh)) for n, sh, s in mats}
 
 
 def adafactor_step(state: AdafactorState, params: ModelParams,
@@ -86,13 +92,15 @@ def adafactor_step(state: AdafactorState, params: ModelParams,
     sq += EPS1
     vhat *= b2
     vhat += new2 * sq
-    for r, c, sq_m, vhat_m in state.factors.values():
-        n, m = sq_m.shape
-        r *= b2
-        r += new2 * (np.add.reduce(sq_m, axis=1) / m)
-        c *= b2
-        c += new2 * (np.add.reduce(sq_m, axis=0) / n)
-        np.multiply((r / (np.add.reduce(r) / n))[:, None], c, out=vhat_m)
+    for _, _, r_mean, c_mean, sq_m, _ in state.factors.values():
+        np.add.reduce(sq_m, axis=1, out=r_mean)
+        np.add.reduce(sq_m, axis=0, out=c_mean)
+    state.means /= state.counts
+    state.means *= new2
+    state.acc *= b2
+    state.acc += state.means
+    for r, c, _, _, _, vhat_m in state.factors.values():
+        np.multiply((r / (np.add.reduce(r) / r.size))[:, None], c, out=vhat_m)
     update /= np.sqrt(vhat)
 
     np.multiply(update, update, out=state.sq_update)

@@ -172,18 +172,19 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
         history.append(evaluate(0, 0, cosine_lr(0, *schedule)))
         for epoch in range(1, cfg.epochs + 1):
             order = np.array(shuffle.permutation(n), dtype=np.int64)
+            epoch_rows, epoch_targets = rows[order], targets[order]
             for lo in range(0, n, cfg.batch_size):
-                batch = order[lo:lo + cfg.batch_size]
+                batch = slice(lo, lo + cfg.batch_size)
                 step += 1
                 lr = cosine_lr(step, *schedule)
-                grads = backward(params, rows[batch], targets[batch], anchor,
-                                 loss_cfg, policy)
+                grads = backward(params, epoch_rows[batch], epoch_targets[batch],
+                                 anchor, loss_cfg, policy)
                 if pool is not None:
                     idx = next(pool_batches)
                     extra = backward(params, pool_rows[idx], None, None,
                                      loss_cfg, policy, teacher=pool_teacher[idx])
                     for name in grads:
-                        grads[name] = grads[name] + extra[name]
+                        grads[name] += extra[name]
                 adafactor_step(state, params, grads, lr)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
                 history.append(evaluate(epoch, step, lr))

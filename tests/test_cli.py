@@ -687,7 +687,7 @@ def test_seed_is_the_same_run_on_every_command(data_dir, tmp_path, monkeypatch,
     ["init-head"],
     ["eval", "--zero-shot"],
 ], ids=lambda argv: argv[0])
-def test_bank_of_another_dim_is_parse_error(data_dir, tmp_path, capsys, argv):
+def test_bank_of_another_dim_is_data_error(data_dir, tmp_path, capsys, argv):
     # the splits have D = 8; a head built from a D = 5 bank fits no split
     write_tensor(data_dir / "bank.cnit", np.ones((2, 3, 5)))
     out = tmp_path / "out"
@@ -703,8 +703,8 @@ def test_bank_of_another_dim_is_parse_error(data_dir, tmp_path, capsys, argv):
     ("head", "params_W.cnit", ()),
     ("head", "params_W.cnit", (8,)),
 ])
-def test_saved_tensor_of_wrong_rank_is_shape_mismatch(data_dir, tmp_path,
-                                                      saved, name, shape):
+def test_saved_tensor_of_wrong_rank_is_data_error(data_dir, tmp_path,
+                                                  saved, name, shape):
     manifest = str(data_dir / "manifest.json")
     src = tmp_path / saved
     assert main(["train", "--manifest", manifest, "--epochs", "0",

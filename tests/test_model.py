@@ -139,6 +139,18 @@ def test_prefix_rows_of_a_batch_are_the_batch_rows_bit_for_bit(policy):
                 assert cache.logits.tobytes() == explicit.tobytes()
 
 
+def test_all_pooled_rows_of_contiguous_batches_are_the_set_rows_bit_for_bit():
+    # training steps through contiguous slices of each epoch's gathered rows
+    rng = np.random.default_rng(7)
+    p = random_params(rng, c=10, d=32)  # non-identity A, non-zero a and q
+    rows = rng.normal(size=(500, 4, 32))
+    whole = forward_from(p, rows, "ALL").pooled_unit
+    for size in range(1, 41):
+        for lo in range(0, 500, size):
+            got = forward_from(p, rows[lo:lo + size], "ALL").pooled_unit
+            assert got.tobytes() == whole[lo:lo + size].tobytes(), (size, lo)
+
+
 def test_forward_zero_norm_pooled():
     p = random_params(np.random.default_rng(0), c=3, d=4)
     p.q[:] = 0.0  # uniform attention
@@ -425,6 +437,51 @@ def test_all_gradients_match_explicit_adapter_reference(terms):
     for name in got:
         scale = np.abs(ref[name]).max()
         assert scale > 0
+        assert np.abs(got[name] - ref[name]).max() <= 1e-12 * scale, name
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def einsum_all_backward(p, rows, targets, cfg, teacher):
+    """ALL gradients from einsums over the token rows: the formulation the
+    stacked matmuls replaced, kept as the reference for their rounding."""
+    sqrt_d = math.sqrt(p.dim)
+    attn = _softmax(np.einsum("btd,d->bt", rows, (p.q @ p.A) / sqrt_d))
+    tbar = np.einsum("bt,btd->bd", attn, rows)
+    pooled = np.einsum("de,be->bd", p.A, tbar) + p.a
+    norms = np.sqrt((pooled * pooled).sum(axis=1))
+    unit = pooled / norms[:, None]
+    logits = LOGIT_SCALE * (unit @ p.W.T) + p.b
+    batch, tau = rows.shape[0], cfg.distill_temperature
+    g_logits = (_softmax(logits) - targets) / batch + cfg.distill_weight * (
+        _softmax(logits / tau) - teacher) / (tau * batch)
+    d_unit = LOGIT_SCALE * (g_logits @ p.W)
+    radial = (d_unit * unit).sum(axis=1, keepdims=True)
+    d_pool = (d_unit - radial * unit) / norms[:, None]
+    d_attn = np.einsum("btd,bd->bt", rows, d_pool @ p.A)
+    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
+    s = np.einsum("bt,btd->d", d_scores, rows) / sqrt_d
+    return {"A": d_pool.T @ tbar + p.q[:, None] * s, "a": d_pool.sum(axis=0),
+            "q": p.A @ s, "W": LOGIT_SCALE * (g_logits.T @ unit),
+            "b": g_logits.sum(axis=0)}
+
+
+@pytest.mark.parametrize("batch", [1, 32, 500])
+def test_all_backward_matches_einsum_reference(batch):
+    rng = np.random.default_rng(29)
+    p = random_params(rng, c=10, d=32)  # non-identity A, non-zero a and q
+    rows = rng.normal(size=(batch, 4, 32))
+    cfg = LossConfig(label_smoothing=0.1, distill_weight=0.5,
+                     distill_temperature=2.0)
+    targets = smoothed_targets(rng.integers(0, 10, size=batch), 10, 0.1)
+    teacher = teacher_targets(rng.dirichlet(np.ones(10), size=batch), 10, 2.0)
+    got = backward(p, rows, targets, None, cfg, "ALL", teacher=teacher)
+    ref = einsum_all_backward(p, rows, targets, cfg, teacher)
+    for name in got:
+        scale = np.abs(ref[name]).max()
         assert np.abs(got[name] - ref[name]).max() <= 1e-12 * scale, name
 
 

@@ -76,13 +76,16 @@ def test_factored_state_memory_layout():
     assert "b" not in state.factors
     assert state.vhat.shape == state.mom.shape == (5 * 7 + 5,)
     np.testing.assert_array_equal(state.vhat[35:], np.ones(5) + EPS1)
-    # under ALL each matrix owns its row buffer, of D rows for A and C for W
+    # under ALL each matrix has its own rows and columns in the shared
+    # accumulator buffer, D rows for A and C for W
     state = AdafactorState()
     grads = {n: np.ones(p.group(n).shape) for n in TRAINABLE["ALL"]}
     adafactor_step(state, p, grads, lr=0.01)
     assert {n: (r.size, c.size) for n, (r, c, *_) in state.factors.items()} == \
         {"A": (7, 7), "W": (5, 7)}
     assert not np.shares_memory(state.factors["A"][0], state.factors["W"][0])
+    assert all(np.shares_memory(v, state.acc)
+               for r, c, *_ in state.factors.values() for v in (r, c))
 
 
 def test_missing_gradient_entry_freezes_param():

@@ -24,7 +24,7 @@ TRAIN = ["--shots", "2", "--epochs", "6", "--batch-size", "4",
 
 # sha256 of every .cnit file and metrics.csv, by path under the root
 PINNED = {
-    "ALL/metrics.csv": "46198f72121ead2137eedaeb54a5f8384ced2069a2ad24f703f46dc18ac182d1",
+    "ALL/metrics.csv": "76bd4c781cf638964482edf150aaaeb2d9e64ead15937aaa3444207cf3571633",
     "ALL/params_A.cnit": "fd579a903cbf083ac87acf3d69b4a01d0b0fc9406a17db2969ce86963f60c7da",
     "ALL/params_W.cnit": "6cfac296ab8678b596c256f8d985b61ee855c067394e0347d9db5bb3652097b9",
     "ALL/params_a.cnit": "d68eea2c50da8e01f152dae70e56313cf1812373bd404a9bbb5bf0ed32aab038",
@@ -47,7 +47,7 @@ PINNED = {
     "data/test_tokens.cnit": "8052ddab53a1e8357aef6f31c492347a6397f6c60c66423b41f810c09a5f13ba",
     "data/train_labels.cnit": "2efe31d8e25458a27e5a0eb92a414971badad29a775a007aac762e052c7c7ce9",
     "data/train_tokens.cnit": "326a566022544ff9d0c87459e1d8b843d850edde2a8b55f9960fe1fe2ee8844c",
-    "distill/metrics.csv": "bdd283f222b8ae1bc45f31bdc87e68dfc37615290c219264f2676b15a81a8629",
+    "distill/metrics.csv": "31f18fff5c6dbd538f3a5b961630fcd6fe277d99ea2c15aa6120775b56d096cf",
     "distill/params_A.cnit": "2776b97ed6069e4f59e4b1c5579929ce717db885fcf0174c26a565bd6ec7c05d",
     "distill/params_W.cnit": "10d71feda20451b6e8e6c6552f1e1dd47f627f18669f78ccd1d51fc0027d5724",
     "distill/params_a.cnit": "280554991c076fd9d9f42c13d5dda56827e985db55b552f1230973ca30c25c34",
@@ -97,8 +97,8 @@ def test_saved_run_scores_its_final_top1(chain, tmp_path, run):
 # on all 500 training examples (48 steps, three permutations of 500) and
 # a distilled 1-shot student of it, whose pool batches span two of them.
 BENCH_SHAPE_PINS = {
-    "teacher": "444c29011f901bcfc435e645c193aec57e2a7387262e1bdea1bf3c6576a4e9cb",
-    "student": "357d74a8fa482c3cbf4b7dc57f100ad7b00bf204502af3fdad8f1456623eaaaa",
+    "teacher": "cfbc6bd6208f3b9ec5fb66a8905f5155b7a261c37366f97005e364a6e06f942c",
+    "student": "ad6a4702508f9bf80f44445a6e6087a027fe6db5361ccead97ba35f037f2224f",
 }
 
 

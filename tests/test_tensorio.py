@@ -153,7 +153,7 @@ def test_write_json_is_deterministic(tmp_path):
     assert x.index(b'"a"') < x.index(b'"b"')
 
 
-def test_unwritable_path_is_write_error(tmp_path):
+def test_unwritable_path_is_data_error(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_bytes(b"keep")
     with pytest.raises(DataError, match="cannot write tensor to"):
