@@ -36,8 +36,8 @@ class EvalReport:
 
 
 def _report(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> EvalReport:
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(confusion, (labels, preds), 1)
+    confusion = np.bincount(labels * num_classes + preds, minlength=num_classes**2
+                            ).reshape(num_classes, num_classes)
     totals = confusion.sum(axis=1)
     diag = np.diagonal(confusion)
     per_class = np.where(totals > 0, diag / np.maximum(totals, 1), 0.0)

@@ -126,14 +126,15 @@ class LossConfig:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations of one forward pass (None: not run)."""
+    """Intermediate activations of one forward pass (None: not run);
+    ``probs``, the (B, C) softmax of the logits, is computed on access."""
 
     tbar: np.ndarray | None        # (B, D) sum_i alpha_i t_i (ALL only)
     attn: np.ndarray | None        # (B, T) attention weights, rows sum to 1
     pooled_unit: np.ndarray        # (B, D) H / ||H||
     pool_norms: np.ndarray | None  # (B,)
     logits: np.ndarray             # (B, C)
-    probs: np.ndarray              # (B, C)
+    probs = property(lambda self: _softmax_rows(self.logits))
 
 
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -202,7 +203,7 @@ def forward_from(p: ModelParams, rows: np.ndarray, policy: str) -> ForwardCache:
         pooled += p.a
         pooled_unit, norms = _unit(pooled)
     logits = LOGIT_SCALE * (pooled_unit @ p.W.T) + p.b
-    return ForwardCache(tbar, attn, pooled_unit, norms, logits, _softmax_rows(logits))
+    return ForwardCache(tbar, attn, pooled_unit, norms, logits)
 
 
 def forward(p: ModelParams, tokens: np.ndarray) -> ForwardCache:
@@ -248,7 +249,7 @@ def _kl_rows(teacher_tau: np.ndarray, student_probs_tau: np.ndarray) -> np.ndarr
 
 
 def _check_rows(cache: ForwardCache, *rows: np.ndarray | None) -> None:
-    if any(t is not None and t.shape != cache.probs.shape for t in rows):
+    if any(t is not None and t.shape != cache.logits.shape for t in rows):
         raise DataError("target rows must match the batch's (B, C) logits")
 
 
@@ -308,7 +309,7 @@ def backward(
     names = trainable_names(policy)
     rows = np.asarray(rows, dtype=np.float64)
     cache = forward_from(p, rows, policy)
-    batch, num_classes = cache.probs.shape
+    batch, num_classes = cache.logits.shape
     _check_rows(cache, targets, teacher)
 
     # d(loss)/d(logits), all terms combined

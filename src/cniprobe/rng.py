@@ -7,7 +7,7 @@ implementations in other languages:
 * seeding / substream derivation: splitmix64,
 * the stream itself: xorshift64* (Vigna's multiplier),
 * shuffling: Fisher-Yates from the top index down, with rejection
-  sampling for unbiased bounded draws (drawn in bulk, same draws),
+  sampling for unbiased bounded draws (drawn in blocks, same draws),
 * uniforms: the top 53 bits of a draw u as ((u >> 11) + 1) / 2^53,
   in (0, 1],
 * gaussians: Box-Muller on uniform pairs (u1, u2), the cos value
@@ -19,8 +19,10 @@ leaving the same spare and state. xorshift64* is linear
 over GF(2), with M the step as a 64x64 bit matrix. So after ``_HEAD``
 scalar steps, the k states in hand jump ahead by M^k at once through
 eight byte tables, doubling until there are enough; the table of M^2k
-is that of M^k applied to itself (Haramoto et al. 2008). ``shuffle``
-takes its n-1 draws the same way, through ``_draws``. The multiply,
+is that of M^k applied to itself (Haramoto et al. 2008).
+``permutations`` draws a run's shuffles the same way, in blocks of at
+most ``_BLOCK`` = 4,096 states, so that a long run's draws do not grow
+its peak memory; ``shuffle`` and ``permutation`` are its one-row views. The multiply,
 shift, square root and products are exact in numpy; ``log``, ``cos``
 and ``sin`` stay on ``math`` (the C library), because numpy's SIMD
 float64 ``log`` does not round every input as ``math.log`` does.
@@ -43,6 +45,7 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _HEAD = 32
+_BLOCK = 1 << 12  # most states one ``permutations`` block draws
 
 
 def _step(x):
@@ -159,26 +162,33 @@ class Stream:
             raise NumericalError("a gaussian row's norm is < 1e-12 or not finite")
         return v / norms[:, None]
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates: i runs from len-1 down to 1, j = draw(i+1).
+    def permutations(self, n: int, count: int):
+        """``count`` successive ``permutation(n)`` as int64 arrays, same draws
+        and final state, from one ``_draws`` call per block of at most ``_BLOCK``
+        states. A draw below 2^64 - n passes every bound's rejection test; if
+        one does not, the block rewinds and draws its rows by ``next_below``."""
+        rows = max(1, _BLOCK // max(n - 1, 1))
+        for lo in range(0, count, rows):
+            m, start = min(rows, count - lo), self._state
+            if n < 2:  # no draw
+                js = [[]] * m
+            elif ((draws := self._draws(m * (n - 1)).reshape(m, n - 1))
+                  >= np.uint64((1 << 64) - n)).any():
+                self._state = start
+                js = [[self.next_below(b) for b in range(n, 1, -1)] for _ in range(m)]
+            else:
+                js = (draws % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+            block = []
+            for row in js:
+                items = list(range(n))
+                for i, j in zip(range(n - 1, 0, -1), row):
+                    items[i], items[j] = items[j], items[i]
+                block.append(items)
+            yield from np.array(block, dtype=np.int64).reshape(m, n)
 
-        The draws and final state are those of ``next_below``: the len-1
-        draws come from ``_draws`` at once, and if one is not below 2^64 -
-        len, so below every bound's rejection limit, the stream rewinds and
-        draws one by one."""
-        n, start = len(items), self._state
-        if n < 2:
-            return
-        draws = self._draws(n - 1)
-        if (draws >= np.uint64((1 << 64) - n)).any():
-            self._state = start
-            js = [self.next_below(bound) for bound in range(n, 1, -1)]
-        else:
-            js = (draws % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        for i, j in zip(range(n - 1, 0, -1), js):
-            items[i], items[j] = items[j], items[i]
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates: i runs from len-1 down to 1, j = draw(i+1)."""
+        items[:] = [items[i] for i in next(self.permutations(len(items), 1))]
 
     def permutation(self, n: int) -> list[int]:
-        items = list(range(n))
-        self.shuffle(items)
-        return items
+        return next(self.permutations(n, 1)).tolist()

@@ -170,8 +170,7 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
     # evaluate raises, which is its only report.
     with np.errstate(over="ignore", invalid="ignore"):
         history.append(evaluate(0, 0, cosine_lr(0, *schedule)))
-        for epoch in range(1, cfg.epochs + 1):
-            order = np.array(shuffle.permutation(n), dtype=np.int64)
+        for epoch, order in enumerate(shuffle.permutations(n, cfg.epochs), 1):
             epoch_rows, epoch_targets = rows[order], targets[order]
             for lo in range(0, n, cfg.batch_size):
                 batch = slice(lo, lo + cfg.batch_size)

@@ -8,6 +8,7 @@ import pytest
 from cniprobe.dataset import EmbeddingDataset, SynthSpec, make_synthetic
 from cniprobe.errors import DataError
 from cniprobe.evaluate import (
+    _report,
     predictions,
     top1,
     zero_shot,
@@ -70,6 +71,25 @@ def test_hand_worked_confusion():
     assert report.confusion.tolist() == [[1, 1], [0, 1]]
     assert report.top1 == pytest.approx(2 / 3)
     assert report.per_class.tolist() == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("labels, preds, c", [
+    ([0, 0, 0], [0, 0, 0], 1),                 # one class
+    ([0, 2, 2, 0, 2], [2, 2, 0, 0, 1], 4),     # classes 1 and 3 have no examples
+    (np.random.default_rng(3).integers(0, 10, 500),
+     np.random.default_rng(4).integers(0, 10, 500), 10),
+], ids=["C=1", "empty-classes", "500-examples"])
+def test_confusion_counts_every_label_prediction_pair(labels, preds, c):
+    labels, preds = np.asarray(labels, np.int64), np.asarray(preds, np.int64)
+    expected = np.zeros((c, c), dtype=np.int64)
+    np.add.at(expected, (labels, preds), 1)
+    report = _report(labels, preds, c)
+    assert report.confusion.dtype == np.int64
+    np.testing.assert_array_equal(report.confusion, expected)
+    totals = expected.sum(axis=1)
+    np.testing.assert_array_equal(
+        report.per_class,
+        np.where(totals > 0, np.diagonal(expected) / np.maximum(totals, 1), 0.0))
 
 
 def test_random_head_near_chance():

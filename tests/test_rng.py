@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cniprobe import rng
 from cniprobe.rng import Stream, splitmix64_at, substream_seed
 
 MASK = (1 << 64) - 1
@@ -196,6 +197,65 @@ def test_shuffle_falls_back_when_a_draw_may_be_rejected(draw, u):
     stream.shuffle(items)
     ref.shuffle(ref_items)
     assert items == ref_items
+    assert stream.next_u64() == ref.next_u64()
+
+
+def _ref_permutations(ref: RefStream, n: int, count: int) -> list[list[int]]:
+    rows = []
+    for _ in range(count):
+        rows.append(list(range(n)))
+        ref.shuffle(rows[-1])
+    return rows
+
+
+def _block_rows(n: int) -> int:
+    """The rows of one ``permutations`` block of n items."""
+    return max(1, rng._BLOCK // max(n - 1, 1))
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 50, 500])
+def test_permutations_are_successive_permutations(n, block, monkeypatch):
+    # block 1 and 7 make every n cross blocks within a few rows; n < 2
+    # draws nothing, as the transcription's next draw shows
+    if block is not None:
+        monkeypatch.setattr(rng, "_BLOCK", block)
+    rows = _block_rows(n)
+    for count in sorted({0, 1, rows - 1, rows, rows + 1, 200}):
+        seed = 1000 * n + count
+        stream, ref, single = Stream(seed), RefStream(seed), Stream(seed)
+        got = list(stream.permutations(n, count))
+        assert all(p.dtype == np.int64 and p.shape == (n,) for p in got)
+        expected = _ref_permutations(ref, n, count)
+        assert [p.tolist() for p in got] == expected
+        assert [single.permutation(n) for _ in range(count)] == expected
+        assert stream.next_u64() == ref.next_u64() == single.next_u64()
+
+
+@pytest.mark.parametrize("n", [2, 10, 500, 5000])
+def test_permutations_draw_at_most_a_block_of_states_at_once(n, monkeypatch):
+    # the block bound keeps a long run's draws from growing its peak memory
+    sizes, draws = [], Stream._draws
+    monkeypatch.setattr(Stream, "_draws",
+                        lambda self, m: sizes.append(m) or draws(self, m))
+    list(Stream(n).permutations(n, 3 * _block_rows(n)))
+    assert sizes == [_block_rows(n) * (n - 1)] * 3
+    assert max(sizes) <= max(rng._BLOCK, n - 1)
+
+
+@pytest.mark.parametrize("u", [MASK, (1 << 64) - 10], ids=["rejected", "kept"])
+def test_permutations_fall_back_for_a_block_with_a_rejectable_draw(u):
+    # u is the first draw of the block's second row, whose bound is 10;
+    # the next block, one row, is drawn in bulk again
+    n, draw = 10, 9
+    count = _block_rows(n) + 1
+    x = (u * pow(0x2545F4914F6CDD1D, -1, 1 << 64)) & MASK  # x * mult = u
+    for _ in range(draw + 1):
+        x = _state_before(x)
+    stream, ref = Stream(0), RefStream(0)
+    stream._state = ref.state = x
+    got = [p.tolist() for p in stream.permutations(n, count)]
+    assert got == _ref_permutations(ref, n, count)
     assert stream.next_u64() == ref.next_u64()
 
 
