@@ -9,8 +9,6 @@ the head-initialization path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import EmbeddingDataset
@@ -19,13 +17,24 @@ from .headinit import TextEmbeddingBank, average_text_embeddings
 from .model import POLICY_ALL, ModelParams, forward, forward_from
 
 
-@dataclass
 class EvalReport:
-    """Accuracy summary: top1 = trace(confusion) / total."""
+    """Accuracy of ``preds`` against ``labels``: ``top1``, the share right,
+    and, computed when read, ``confusion`` ((C, C) int64, rows true, cols
+    predicted) and ``per_class``, each true class's accuracy (0 if empty)."""
 
-    top1: float
-    per_class: np.ndarray  # (C,) accuracy per true class
-    confusion: np.ndarray  # (C, C) int64, rows = true, cols = predicted
+    def __init__(self, labels: np.ndarray, preds: np.ndarray, num_classes: int):
+        self.labels, self.preds, self.num_classes = labels, preds, num_classes
+        self.top1 = float(np.count_nonzero(labels == preds) / labels.shape[0])
+
+    @property
+    def confusion(self) -> np.ndarray:
+        c = self.num_classes
+        return np.bincount(self.labels * c + self.preds, minlength=c * c).reshape(c, c)
+
+    @property
+    def per_class(self) -> np.ndarray:  # an empty class's diagonal is 0
+        confusion = self.confusion
+        return np.diagonal(confusion) / np.maximum(confusion.sum(axis=1), 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -33,16 +42,6 @@ class EvalReport:
             "per_class": [float(x) for x in self.per_class],
             "confusion": self.confusion.tolist(),
         }
-
-
-def _report(labels: np.ndarray, preds: np.ndarray, num_classes: int) -> EvalReport:
-    confusion = np.bincount(labels * num_classes + preds, minlength=num_classes**2
-                            ).reshape(num_classes, num_classes)
-    totals = confusion.sum(axis=1)
-    diag = np.diagonal(confusion)
-    per_class = np.where(totals > 0, diag / np.maximum(totals, 1), 0.0)
-    top1 = float(diag.sum() / labels.shape[0])
-    return EvalReport(top1=top1, per_class=per_class, confusion=confusion)
 
 
 def predictions(params: ModelParams, ds: EmbeddingDataset) -> np.ndarray:
@@ -58,7 +57,7 @@ def top1(params: ModelParams, ds: EmbeddingDataset,
         raise DataError("model and dataset disagree on class count")
     cache = (forward(params, ds.tokens) if rows is None
              else forward_from(params, rows, policy))
-    return _report(ds.labels, np.argmax(cache.logits, axis=1), ds.num_classes)
+    return EvalReport(ds.labels, np.argmax(cache.logits, axis=1), ds.num_classes)
 
 
 def zero_shot_predictions(bank: TextEmbeddingBank, ds: EmbeddingDataset) -> np.ndarray:
@@ -76,4 +75,4 @@ def zero_shot(bank: TextEmbeddingBank, ds: EmbeddingDataset) -> EvalReport:
     if (bank.num_classes, bank.dim) != (ds.num_classes, ds.dim):
         raise DataError(f"bank (C={bank.num_classes}, D={bank.dim}) and "
                         f"dataset (C={ds.num_classes}, D={ds.dim}) disagree")
-    return _report(ds.labels, zero_shot_predictions(bank, ds), ds.num_classes)
+    return EvalReport(ds.labels, zero_shot_predictions(bank, ds), ds.num_classes)

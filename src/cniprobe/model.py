@@ -137,21 +137,27 @@ class ForwardCache:
     probs = property(lambda self: _softmax_rows(self.logits))
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Row maxima as a (B, 1) column, in fewer calls down the contiguous
+    transpose; a tie of +0 and -0 may differ in sign, as no softmax sees."""
+    return np.maximum.reduce(np.ascontiguousarray(x.T), axis=0)[:, None]
+
+
 def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    e = np.exp(x - _row_max(x))
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    shifted = x - _row_max(x)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _unit(pooled: np.ndarray):
     """Pooled rows made unit in place, and their norms; a zero norm raises."""
     norms = np.sqrt(np.add.reduce(pooled * pooled, axis=1))  # np.linalg.norm
-    if (norms < _POOL_EPS).any():
+    if np.minimum.reduce(norms, initial=np.inf) < _POOL_EPS:
         raise NumericalError("pooled embedding has zero norm")
     pooled /= norms[:, None]
     return pooled, norms
@@ -298,15 +304,20 @@ def backward(
     cfg: LossConfig,
     policy: str,
     teacher: np.ndarray | None = None,
+    out: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact gradients of loss_total w.r.t. the policy's trainable params.
 
     ``rows`` are the batch's ``prefix(p, tokens, policy)``, ``targets``
     its ``smoothed_targets`` (None for a batch without labels) and
-    ``teacher`` its ``teacher_targets``. The returned dict contains
-    entries only for unlocked parameter groups.
+    ``teacher`` its ``teacher_targets``. They are written into and returned
+    in ``out``, the policy's unfrozen groups in order (a new dict if None;
+    in training ``AdafactorState.gradients``).
     """
     names = trainable_names(policy)
+    out = {n: np.empty(p.group(n).shape) for n in names} if out is None else out
+    if tuple(out) != names:
+        raise DataError(f"gradient buffers {tuple(out)} are not {policy}'s {names}")
     rows = np.asarray(rows, dtype=np.float64)
     cache = forward_from(p, rows, policy)
     batch, num_classes = cache.logits.shape
@@ -320,9 +331,9 @@ def backward(
         student_tau = _softmax_rows(cache.logits / tau)
         g_logits += cfg.distill_weight * (student_tau - teacher) / (tau * batch)
 
-    grads: dict[str, np.ndarray] = {}
-    grads["b"] = np.add.reduce(g_logits, axis=0)
-    grads["W"] = LOGIT_SCALE * (g_logits.T @ cache.pooled_unit)
+    np.add.reduce(g_logits, axis=0, out=out["b"])
+    np.matmul(g_logits.T, cache.pooled_unit, out=out["W"])
+    out["W"] *= LOGIT_SCALE
 
     if policy != POLICY_L:
         # back through the normalization and the pooler
@@ -336,19 +347,17 @@ def backward(
         inner = np.add.reduce(cache.attn * d_attn, axis=1, keepdims=True)
         d_scores = cache.attn * (d_attn - inner)
         if policy == POLICY_PL:
-            grads["q"] = np.einsum("bt,btd->d", d_scores, rows) / math.sqrt(p.dim)
+            np.divide(np.einsum("bt,btd->d", d_scores, rows), math.sqrt(p.dim),
+                      out=out["q"])
         else:  # rows of d_scores sum to 0: sum_i d_score_i u_i / sqrt(D) = A s
             s = (d_scores.reshape(-1) @ rows.reshape(-1, p.dim)) / math.sqrt(p.dim)
-            grads["q"] = p.A @ s
-            grads["A"] = d_pool.T @ cache.tbar
-            grads["A"] += p.q[:, None] * s
-            grads["a"] = np.add.reduce(d_pool, axis=0)
+            np.matmul(p.A, s, out=out["q"])
+            np.matmul(d_pool.T, cache.tbar, out=out["A"])
+            out["A"] += p.q[:, None] * s
+            np.add.reduce(d_pool, axis=0, out=out["a"])
 
     if anchor is not None and cfg.anchor_lambda > 0.0:
-        for name in anchor:
-            if name in grads:
-                grads[name] = grads[name] + 2.0 * cfg.anchor_lambda * (
-                    p.group(name) - anchor[name]
-                )
+        for name in out.keys() & anchor:  # each group on its own: any order
+            out[name] += 2.0 * cfg.anchor_lambda * (p.group(name) - anchor[name])
 
-    return {name: grads[name] for name in names}
+    return out

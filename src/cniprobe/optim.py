@@ -9,10 +9,11 @@ rate, normally from ``cosine_lr``. Updates are RMS-clipped at
 into gradients. The second-moment decay is ``1 - t^-0.8`` capped at
 ``BETA2``, and ``EPS1`` is added to every squared gradient.
 
-A step makes one numpy call per elementwise operation over the whole
-trainable suffix of ``ModelParams.flat`` and over one buffer of every
-matrix's row and column accumulators, and keeps the order of every sum
-of a group-by-group step, so the bytes are the same.
+The state owns the gradient buffer, which ``backward`` writes through
+its ``gradients`` views; other gradients are checked and copied in. A
+step makes one numpy call per elementwise operation over the trainable
+suffix of ``ModelParams.flat`` and over the accumulators, and keeps the
+order of every sum of a group-by-group step, so the bytes are the same.
 """
 
 from __future__ import annotations
@@ -39,33 +40,45 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 
 
 class AdafactorState:
-    """Buffers over the trainable suffix, sized by the first step: ``mom``,
+    """Buffers over the trainable suffix: the gradients' ``update``, ``mom``,
     ``vhat`` (a vector's span is its second moment, a matrix's is rebuilt
-    from its ``factors``) and scratch. Every matrix's row and column mean
-    squares are views of one buffer ``acc``, stepped in whole-buffer calls."""
+    from its ``factors``), scratch and the matrices' row and column mean
+    squares ``acc``: ``moments`` is ``vhat`` then ``acc``, ``fresh`` ``sq`` then ``means``."""
 
     def __init__(self):
         self.step = 0
-        self.layout = None  # [(name, shape)] of the groups stepped
+        self.grads = None  # the views of update, once sized
 
-    def _start(self, params: ModelParams, names: tuple[str, ...]) -> None:
+    def gradients(self, params: ModelParams, names: tuple[str, ...]) -> dict:
+        """The views of ``update`` that the groups ``names`` are written into;
+        the first call sizes the state for them."""
+        if self.grads is not None:
+            if tuple(self.grads) != names:
+                raise DataError(f"gradients {names} do not fit {self.layout}")
+            return self.grads
         if names not in TRAINABLE.values():
             raise DataError(f"gradients {names} are not a policy's groups")
         groups = [params.group(n) for n in names]
-        self.layout = [(n, g.shape) for n, g in zip(names, groups)]
+        self.layout = [(n, g.shape) for n, g in zip(names, groups)]  # groups stepped
         ends = np.cumsum([g.size for g in groups]).tolist()
         spans = [slice(end - g.size, end) for g, end in zip(groups, ends)]
-        self.update, self.sq, self.sq_update, self.mom, self.vhat = np.zeros((5, ends[-1]))
+        self.update, self.sq_update, self.mom = np.zeros((3, ends[-1]))
+        self.grads = {n: self.update[s].reshape(sh) for (n, sh), s in zip(self.layout, spans)}
         self.clip = [(self.update[s], self.sq_update[s]) for s in spans]
         mats = [(n, g.shape, s) for n, g, s in zip(names, groups, spans) if g.ndim == 2]
         cuts = np.cumsum([k for _, sh, _ in mats for k in sh])
-        self.acc, self.means = np.zeros((2, cuts[-1]))
+        self.fresh, self.moments = np.zeros((2, ends[-1] + cuts[-1]))
+        (self.sq, self.means), (self.vhat, self.acc) = (
+            np.split(b, [ends[-1]]) for b in (self.fresh, self.moments))
         # n row means of an (n, m) matrix divide by m, its m column means by n
         self.counts = np.concatenate([np.repeat(sh[::-1], sh) for _, sh, _ in mats])
         acc, means = (iter(np.split(b, cuts[:-1])) for b in (self.acc, self.means))
-        self.factors = {  # name -> rows and columns of acc, of means; spans of sq, vhat
-            n: (next(acc), next(acc), next(means), next(means),
-                self.sq[s].reshape(sh), self.vhat[s].reshape(sh)) for n, sh, s in mats}
+        self.factors = {  # name -> rows and columns of acc, of means; spans of
+            # sq, vhat; the rows as a column, and an (n, 1) scratch
+            n: (r := next(acc), next(acc), next(means), next(means),
+                self.sq[s].reshape(sh), self.vhat[s].reshape(sh),
+                r[:, None], np.zeros((sh[0], 1))) for n, sh, s in mats}
+        return self.grads
 
 
 def adafactor_step(state: AdafactorState, params: ModelParams,
@@ -74,34 +87,35 @@ def adafactor_step(state: AdafactorState, params: ModelParams,
 
     ``grads`` holds one policy's groups in buffer order, as ``backward``
     returns them; the others are never touched, which is how a policy
-    freezes them. The row and column sums and the RMS clip run group by
-    group, as ``np.add.reduceat`` would move their bits. A mean is
-    ``sum / n``."""
-    layout = [(n, g.shape) for n, g in grads.items()]
-    if state.layout is None:
-        state._start(params, tuple(grads))
-    if layout != state.layout:
-        raise DataError(f"gradients {layout} do not fit {state.layout}")
+    freezes them. The state's own ``gradients`` are read where they lie;
+    another mapping is checked and copied in. The row and column sums
+    and the RMS clip run group by group, as ``np.add.reduceat`` would
+    move their bits. A mean is ``sum / n``."""
+    if grads is not state.grads:
+        layout = [(n, g.shape) for n, g in grads.items()]
+        state.gradients(params, tuple(grads))
+        if layout != state.layout:
+            raise DataError(f"gradients {layout} do not fit {state.layout}")
+        np.concatenate([g.reshape(-1) for g in grads.values()], out=state.update)
     state.step += 1
     b2 = min(BETA2, 1.0 - math.pow(state.step, -0.8))  # 1 - t^-0.8, capped
     new2, new1 = 1.0 - b2, 1.0 - BETA1
 
-    update, sq, vhat = state.update, state.sq, state.vhat
-    np.concatenate([g.reshape(-1) for g in grads.values()], out=update)
+    update, sq = state.update, state.sq
     np.multiply(update, update, out=sq)
     sq += EPS1
-    vhat *= b2
-    vhat += new2 * sq
-    for _, _, r_mean, c_mean, sq_m, _ in state.factors.values():
+    for _, _, r_mean, c_mean, sq_m, *_ in state.factors.values():
         np.add.reduce(sq_m, axis=1, out=r_mean)
         np.add.reduce(sq_m, axis=0, out=c_mean)
     state.means /= state.counts
-    state.means *= new2
-    state.acc *= b2
-    state.acc += state.means
-    for r, c, _, _, _, vhat_m in state.factors.values():
-        np.multiply((r / (np.add.reduce(r) / r.size))[:, None], c, out=vhat_m)
-    update /= np.sqrt(vhat)
+    state.fresh *= new2  # sq and means
+    state.moments *= b2  # vhat and acc
+    state.moments += state.fresh
+    for r, c, _, _, _, vhat_m, r_col, scratch in state.factors.values():
+        np.divide(r_col, np.add.reduce(r) / r.size, out=scratch)
+        np.multiply(scratch, c, out=vhat_m)
+    np.sqrt(state.vhat, out=sq)
+    update /= sq
 
     np.multiply(update, update, out=state.sq_update)
     for u, sq_u in state.clip:
@@ -111,7 +125,9 @@ def adafactor_step(state: AdafactorState, params: ModelParams,
 
     m = state.mom
     m *= BETA1
-    m += new1 * update
+    update *= new1  # spent from here on: scratch
+    m += update
     p = params.flat[params.flat.size - m.size:]
     p *= 1.0 - lr * WEIGHT_DECAY  # decoupled decay
-    p -= lr * m
+    np.multiply(m, lr, out=update)
+    p -= update

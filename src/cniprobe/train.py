@@ -129,8 +129,9 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
     schedule = (max(1, cfg.epochs * math.ceil(n / cfg.batch_size)), cfg.base_lr)
     params = params0.copy()
     policy, loss_cfg = cfg.policy, cfg.loss
-    anchor = {name: params0.group(name).copy()
-              for name in trainable_names(policy)}
+    state = AdafactorState()  # backward writes grads where the step reads them
+    grads = state.gradients(params, trainable_names(policy))
+    anchor = {name: params0.group(name).copy() for name in grads}
 
     # The groups the policy freezes never change, so each set's prefix
     # rows, its smoothed targets and the teacher rows are built once.
@@ -143,6 +144,7 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
         pool_teacher = teacher_targets(pool[1], num_classes,
                                        loss_cfg.distill_temperature)
         pool_batches = _pool_batches(len(pool_rows), cfg.batch_size, cfg.seed)
+        pool_grads = {name: np.empty_like(g) for name, g in grads.items()}
 
     def evaluate(epoch: int, step: int, lr: float) -> MetricRecord:
         """The history row; non-finite parameters or losses raise."""
@@ -164,7 +166,6 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
 
     history = MetricHistory()
     shuffle = Stream(substream_seed(cfg.seed, _SHUFFLE_STREAM))
-    state = AdafactorState()
     step = 0
     # A diverging run overflows on its way to the NumericalError that
     # evaluate raises, which is its only report.
@@ -176,14 +177,14 @@ def train(params0: ModelParams, train_ds: EmbeddingDataset,
                 batch = slice(lo, lo + cfg.batch_size)
                 step += 1
                 lr = cosine_lr(step, *schedule)
-                grads = backward(params, epoch_rows[batch], epoch_targets[batch],
-                                 anchor, loss_cfg, policy)
+                backward(params, epoch_rows[batch], epoch_targets[batch],
+                         anchor, loss_cfg, policy, out=grads)
                 if pool is not None:
                     idx = next(pool_batches)
-                    extra = backward(params, pool_rows[idx], None, None,
-                                     loss_cfg, policy, teacher=pool_teacher[idx])
+                    backward(params, pool_rows[idx], None, None, loss_cfg,
+                             policy, teacher=pool_teacher[idx], out=pool_grads)
                     for name in grads:
-                        grads[name] += extra[name]
+                        grads[name] += pool_grads[name]
                 adafactor_step(state, params, grads, lr)
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
                 history.append(evaluate(epoch, step, lr))

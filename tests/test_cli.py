@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, determinism, exit codes, config files."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -318,6 +319,37 @@ def test_eval_accepts_trained_params(data_dir, tmp_path):
                  "--out", str(out)]) == 0
     doc = json.loads((out / "eval.json").read_text())
     assert 0.0 <= doc["report"]["top1"] <= 1.0
+
+
+# sha256 of eval.json: a trained run's report on each split, and the
+# zero-shot one. Their per-class accuracies are not all 0 or 1.
+EVAL_JSON_PINS = {
+    "run_test": "82a71b3641aea5aebe24d3123458a2b88207cccdebfacc4c9b7a39ec598dfb42",
+    "run_train": "3ff73747e1fcbb13451badaa8afba2150a62d322fcae5942c2a6801a0504a483",
+    "zero_shot_test": "4ec7a8a5936842ce48e46758f2e6c3387281d96612c9551dffa82d9f3d1ebd30",
+}
+
+
+def test_eval_json_bytes_are_pinned(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "4", "--dim", "6",
+                 "--tokens", "2", "--train-per-class", "5", "--test-per-class", "5",
+                 "--prompts", "2", "--img-noise", "0.6", "--txt-noise", "0.3",
+                 "--seed", "13"]) == 0
+    manifest = str(data / "manifest.json")
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", manifest, "--out", str(run), "--seed", "3",
+                 "--policy", "ALL", "--epochs", "20", "--batch-size", "4"]) == 0
+    argvs = {"run_test": ["--params", str(run)],
+             "run_train": ["--params", str(run), "--split", "train"],
+             "zero_shot_test": ["--zero-shot"]}
+    got = {}
+    for key, argv in argvs.items():
+        out = tmp_path / key
+        assert main(["eval", "--manifest", manifest, "--out", str(out)] + argv) == 0
+        data = (out / "eval.json").read_bytes()
+        got[key] = hashlib.sha256(data).hexdigest()
+    assert got == EVAL_JSON_PINS
 
 
 @pytest.mark.parametrize("case", ["split", "bank", "eval_params", "teacher",

@@ -8,7 +8,7 @@ import pytest
 from cniprobe.dataset import EmbeddingDataset, SynthSpec, make_synthetic
 from cniprobe.errors import DataError
 from cniprobe.evaluate import (
-    _report,
+    EvalReport,
     predictions,
     top1,
     zero_shot,
@@ -83,13 +83,42 @@ def test_confusion_counts_every_label_prediction_pair(labels, preds, c):
     labels, preds = np.asarray(labels, np.int64), np.asarray(preds, np.int64)
     expected = np.zeros((c, c), dtype=np.int64)
     np.add.at(expected, (labels, preds), 1)
-    report = _report(labels, preds, c)
+    report = EvalReport(labels, preds, c)
     assert report.confusion.dtype == np.int64
     np.testing.assert_array_equal(report.confusion, expected)
     totals = expected.sum(axis=1)
     np.testing.assert_array_equal(
         report.per_class,
         np.where(totals > 0, np.diagonal(expected) / np.maximum(totals, 1), 0.0))
+
+
+def _eager_report(labels, preds, c):
+    """top1, per_class and confusion as an eager report builds them."""
+    confusion = np.bincount(labels * c + preds, minlength=c * c).reshape(c, c)
+    totals = confusion.sum(axis=1)
+    diag = np.diagonal(confusion)
+    per_class = np.where(totals > 0, diag / np.maximum(totals, 1), 0.0)
+    return float(diag.sum() / labels.shape[0]), per_class, confusion
+
+
+@pytest.mark.parametrize("labels, preds, c", [
+    ([0, 0, 0], [0, 0, 0], 1),
+    ([0, 2, 2, 0, 2], [2, 2, 0, 0, 1], 4),     # classes 1 and 3 have no examples
+    ([1, 1, 1], [0, 0, 2], 3),                 # no prediction right
+    (np.random.default_rng(5).integers(0, 9, 500),  # class 9 has no examples
+     np.random.default_rng(6).integers(0, 10, 500), 10),
+], ids=["C=1", "empty-classes", "none-right", "500-examples"])
+def test_lazy_report_equals_the_eager_one(labels, preds, c):
+    labels, preds = np.asarray(labels, np.int64), np.asarray(preds, np.int64)
+    top1_, per_class, confusion = _eager_report(labels, preds, c)
+    report = EvalReport(labels, preds, c)
+    assert report.top1 == top1_ and isinstance(report.top1, float)
+    assert report.per_class.tobytes() == per_class.tobytes()
+    assert report.confusion.dtype == confusion.dtype
+    assert report.confusion.tobytes() == confusion.tobytes()
+    want = {"top1": top1_, "per_class": [float(x) for x in per_class],
+            "confusion": confusion.tolist()}
+    assert json.dumps(report.to_json_dict()) == json.dumps(want)
 
 
 def test_random_head_near_chance():

@@ -18,6 +18,9 @@ from cniprobe.model import (
     TRAINABLE,
     LossConfig,
     ModelParams,
+    _log_softmax_rows,
+    _row_max,
+    _softmax_rows,
     backward,
     forward,
     forward_from,
@@ -524,6 +527,78 @@ def test_anchor_gradient_only_touches_anchored_groups(rng):
         anchored["W"] - base["W"], 2.0 * 0.5 * -np.ones_like(p.W), atol=1e-12)
     np.testing.assert_array_equal(anchored["b"], base["b"])
     np.testing.assert_array_equal(anchored["q"], base["q"])
+
+
+@pytest.mark.parametrize("policy", ["L", "PL", "ALL"])
+@pytest.mark.parametrize("terms", ["ce+anchor", "teacher", "all"])
+def test_backward_writes_into_out_bit_for_bit(policy, terms):
+    rng = np.random.default_rng(29)
+    p = random_params(rng, c=10, d=32)
+    rows = prefix(p, rng.normal(size=(32, 4, 32)), policy)
+    targets = None if terms == "teacher" else smoothed_targets(
+        rng.integers(0, 10, size=32), 10, 0.1)
+    teacher = None if terms == "ce+anchor" else teacher_targets(
+        rng.dirichlet(np.ones(10), size=32), 10, 2.0)
+    anchor = {n: p.group(n) + rng.normal(size=p.group(n).shape) * 0.1
+              for n in trainable_names(policy)}
+    cfg = LossConfig(anchor_lambda=0.0 if terms == "teacher" else 0.3,
+                     distill_weight=0.5, distill_temperature=2.0)
+    fresh = backward(p, rows, targets, anchor, cfg, policy, teacher=teacher)
+    out = {n: np.full(p.group(n).shape, np.nan) for n in trainable_names(policy)}
+    got = backward(p, rows, targets, anchor, cfg, policy, teacher=teacher, out=out)
+    assert got is out
+    assert tuple(got) == tuple(fresh) == trainable_names(policy)
+    for name in fresh:  # every entry written, none read before it is
+        assert got[name].tobytes() == fresh[name].tobytes(), name
+
+
+def test_backward_rejects_out_of_another_policys_groups(rng):
+    p = random_params(rng)
+    rows = prefix(p, rng.normal(size=(3, 2, 4)), "PL")
+    targets = smoothed_targets(np.zeros(3, dtype=int), 3, 0.1)
+    for names in (("W", "b"), ("A", "a", "q", "W", "b"), ("W", "q", "b")):
+        out = {n: np.zeros(p.group(n).shape) for n in names}
+        with pytest.raises(DataError, match="are not PL's"):
+            backward(p, rows, targets, None, LossConfig(), "PL", out=out)
+
+
+# --- row maxima ---------------------------------------------------------------
+
+def _planted(rng, shape, values):
+    x = rng.normal(size=shape)
+    if x.size:
+        cells = rng.integers(0, x.size, size=max(1, x.size // 3))
+        x.flat[cells] = rng.choice(values, size=cells.size)
+    return x
+
+
+def _keepdims_softmaxes(x):
+    """The softmaxes through the last-axis keepdims maximum."""
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    log = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return e, log
+
+
+@pytest.mark.parametrize("shape", [(0, 10), (7, 1), (32, 4), (500, 10)])
+def test_row_max_and_softmaxes_match_the_keepdims_reduction(shape):
+    rng = np.random.default_rng(sum(shape))
+    zeros, special = [0.0, -0.0], [np.inf, -np.inf, np.nan]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for trial in range(20):
+            for values in (special, zeros, zeros + special):
+                x = _planted(rng, shape, values)
+                want = np.maximum.reduce(x, axis=-1, keepdims=True)
+                got = _row_max(x)
+                assert got.shape == want.shape == (shape[0], 1)
+                if values is special:  # no signed zeros to tie: every bit
+                    assert got.tobytes() == want.tobytes()
+                # a maximum tied between +0 and -0 may take either sign
+                assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+                soft, log = _keepdims_softmaxes(x)
+                assert _softmax_rows(x).tobytes() == soft.tobytes()
+                assert _log_softmax_rows(x).tobytes() == log.tobytes()
 
 
 def test_model_params_validation():

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cniprobe.errors import ConfigError, DataError
-from cniprobe.model import TRAINABLE, ModelParams
+from cniprobe.model import (TRAINABLE, LossConfig, ModelParams, backward, prefix,
+                            smoothed_targets)
 from cniprobe.optim import (
     BETA1,
     BETA2,
@@ -188,6 +189,63 @@ def test_gradient_shape_and_name_mismatches():
     with pytest.raises(DataError, match="do not fit"):  # sized for its groups
         adafactor_step(state, p, {"q": np.ones(2), "W": w, "b": np.ones(2)},
                        lr=0.1)
+
+
+@pytest.mark.parametrize("policy", ["L", "PL", "ALL"])
+def test_gradient_views_are_the_update_buffer_in_order(policy):
+    p = make_params(c=3, d=4)
+    names = TRAINABLE[policy]
+    state = AdafactorState()
+    views = state.gradients(p, names)
+    assert tuple(views) == names
+    assert [v.shape for v in views.values()] == [p.group(n).shape for n in names]
+    assert all(np.shares_memory(v, state.update) for v in views.values())
+    assert state.gradients(p, names) is views
+    state.update[:] = np.arange(state.update.size)
+    flat = np.concatenate([v.ravel() for v in views.values()])
+    assert flat.tolist() == list(range(state.update.size))
+
+
+def test_started_state_gives_no_views_of_other_groups():
+    p = make_params()
+    state = AdafactorState()
+    state.gradients(p, TRAINABLE["PL"])
+    for policy in ("L", "ALL"):
+        with pytest.raises(DataError, match="do not fit"):
+            state.gradients(p, TRAINABLE[policy])
+    state = AdafactorState()  # started by a step on a dict of its own
+    adafactor_step(state, p, {"W": np.ones((2, 2)), "b": np.ones(2)}, lr=0.1)
+    with pytest.raises(DataError, match="do not fit"):
+        state.gradients(p, TRAINABLE["ALL"])
+    with pytest.raises(DataError, match="are not a policy's groups"):
+        AdafactorState().gradients(p, ("b", "W"))
+
+
+@pytest.mark.parametrize("policy", ["L", "PL", "ALL"])
+def test_steps_on_own_views_equal_steps_on_new_dicts(policy):
+    # backward writes into the state's views and the step reads them where
+    # they lie; a new dict per step is checked and copied in
+    rng = np.random.default_rng(41)
+    p0 = make_params(c=10, d=8, rng=rng)
+    p0.A[:] += 3.0 * np.eye(8)  # keep every pooled row well away from zero
+    names = TRAINABLE[policy]
+    batches = [(rng.normal(size=(4, 3, 8)), rng.integers(0, 10, size=4))
+               for _ in range(200)]
+    cfg = LossConfig(anchor_lambda=0.1)
+    anchor = {n: p0.group(n).copy() for n in names}
+    runs = []
+    for own in (True, False):
+        p, state = p0.copy(), AdafactorState()
+        out = state.gradients(p, names) if own else None
+        for step, (tokens, labels) in enumerate(batches, 1):
+            targets = smoothed_targets(labels, 10, cfg.label_smoothing)
+            grads = backward(p, prefix(p, tokens, policy), targets, anchor, cfg,
+                             policy, out=out)
+            assert (grads is state.grads) == own
+            adafactor_step(state, p, grads, lr=0.05 / step)
+        runs.append((p.flat.tobytes(), state.mom.tobytes(), state.vhat.tobytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] != p0.flat.tobytes()
 
 
 # --- schedule -----------------------------------------------------------------
